@@ -18,20 +18,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from adcslab.control import ActuatorLimits
-from adcslab.harness import default_scenario, run_scenario_metrics
+from adcslab.harness import REFERENCE_DETUMBLE_ORBITS, default_scenario, run_scenario_metrics
 from adcslab.quatmath import RPM_TO_RADPS, Vec3
 
-# Reference de-tumble times (orbits) for all-axis initial rates of
-# 30..60 RPM, used to calibrate the effective rod torque.
-REFERENCE = {
-    30: 5.32,
-    35: 5.77,
-    40: 6.05,
-    45: 6.43,
-    50: 6.93,
-    55: 7.10,
-    60: 7.60,
-}
 DURATION_MARGIN = 1.5  # run each case this much longer than its reference
 
 
@@ -41,7 +30,7 @@ def sweep_case(clamp: float, rpm: int) -> tuple[int, float | None]:
         "detumble",
         name=f"detumble-{rpm}rpm",
         omega0_radps=Vec3(w, w, w),
-        duration_orbits=DURATION_MARGIN * REFERENCE[rpm],
+        duration_orbits=DURATION_MARGIN * REFERENCE_DETUMBLE_ORBITS[rpm],
         limits=ActuatorLimits(max_magnetic_torque_nm=clamp),
     )
     result = run_scenario_metrics(scenario)
@@ -49,7 +38,7 @@ def sweep_case(clamp: float, rpm: int) -> tuple[int, float | None]:
 
 
 def run_sweep(clamp: float, workers: int) -> dict[int, float | None]:
-    cases = sorted(REFERENCE)
+    cases = sorted(REFERENCE_DETUMBLE_ORBITS)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = pool.map(sweep_case, [clamp] * len(cases), cases)
@@ -64,7 +53,7 @@ def report(clamp: float, times: dict[int, float | None]) -> None:
     ok = True
     prev = -1.0
     for rpm in sorted(times):
-        t, ref = times[rpm], REFERENCE[rpm]
+        t, ref = times[rpm], REFERENCE_DETUMBLE_ORBITS[rpm]
         if t is None:
             print(f"{rpm:>4} {'--':>8} {ref:>6.2f}   did not converge")
             ok = False

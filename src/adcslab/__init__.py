@@ -4,149 +4,13 @@ Quaternion rigid-body propagation, a point-mass mass-property model with a
 movable regolith payload, a LEO disturbance environment, magnetorquer plus
 reaction-wheel control laws behind a mode state machine, and a scenario
 harness with Monte Carlo support.  See the README for a tour.
+
+The package root exports the scenario entry points; everything else is
+imported from its module (``adcslab.harness``, ``adcslab.rigidbody``, ...).
 """
 
-from .quatmath import (
-    IDENTITY,
-    RADPS_TO_RPM,
-    RPM_TO_RADPS,
-    ZERO3,
-    Quat,
-    Vec3,
-    ZeroQuaternionError,
-    canonical_sign,
-    normalize_canonical,
-    quat_conjugate,
-    quat_derivative,
-    quat_from_axis_angle,
-    quat_from_euler,
-    quat_multiply,
-    quat_norm,
-    quat_to_euler,
-    rotate_body_to_orbit,
-    rotate_orbit_to_body,
-)
-from .rigidbody import (
-    AttitudeState,
-    InertiaTensor,
-    NonFiniteStateError,
-    SingularInertiaError,
-    body_rates_derivative,
-    free_rotation,
-    make_rigid_body_dynamics,
-    rk4_step,
-)
-from .massmodel import (
-    CatalogError,
-    ChamberBounds,
-    CornerEnvelope,
-    DegenerateCatalogWarning,
-    MassCatalog,
-    MassComponent,
-    MassProperties,
-    apply_inertia_floor,
-    artificial_gravity,
-    bundled_catalog,
-    catalog_from_dict,
-    compute_cg,
-    corner_envelope,
-    inertia_tensor,
-    load_catalog,
-    mass_properties,
-    sample_regolith,
-)
-from .environment import (
-    AltitudeRangeError,
-    EnvironmentSample,
-    Face,
-    OrbitConfig,
-    OrbitFrameSample,
-    SpacecraftGeometry,
-    atmospheric_density,
-    constants,
-    drag_torque,
-    gravity_gradient_torque,
-    magnetic_field,
-    orbit_frame_sample,
-    orbit_period,
-    propagate_orbit,
-    sample_environment,
-    srp_torque,
-    sun_direction,
-    total_disturbance,
-)
-from .control import (
-    ActuatorLimits,
-    ErrorState,
-    Fidelity,
-    Gains,
-    Mode,
-    ModeThresholds,
-    TorqueCommand,
-    ZeroFieldError,
-    allocate_magnetorquer,
-    error_state,
-    mode_transition,
-    pd_torque,
-    spin_torques,
-    total_control,
-    wheel_step,
-)
-from .harness import (
-    AssembledScenario,
-    DivergenceError,
-    MonteCarloResult,
-    RunResult,
-    Scenario,
-    Telemetry,
-    align_time,
-    assemble,
-    default_scenario,
-    detumble_time,
-    monte_carlo,
-    run_scenario,
-    run_scenario_metrics,
-    settle_time,
-)
-from .config import ConfigError, load_scenario, scenario_from_dict
+from .harness import default_scenario, monte_carlo, run_scenario
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # quatmath
-    "Quat", "Vec3", "IDENTITY", "ZERO3", "RPM_TO_RADPS", "RADPS_TO_RPM",
-    "ZeroQuaternionError", "canonical_sign", "normalize_canonical",
-    "quat_multiply", "quat_conjugate", "quat_norm", "quat_derivative",
-    "quat_from_axis_angle", "quat_from_euler", "quat_to_euler",
-    "rotate_body_to_orbit", "rotate_orbit_to_body",
-    # rigidbody
-    "AttitudeState", "InertiaTensor", "SingularInertiaError",
-    "NonFiniteStateError", "body_rates_derivative", "make_rigid_body_dynamics",
-    "free_rotation", "rk4_step",
-    # massmodel
-    "MassComponent", "MassCatalog", "ChamberBounds", "MassProperties",
-    "CornerEnvelope", "CatalogError", "DegenerateCatalogWarning",
-    "compute_cg", "inertia_tensor", "mass_properties", "corner_envelope",
-    "sample_regolith", "apply_inertia_floor", "artificial_gravity",
-    "catalog_from_dict", "load_catalog", "bundled_catalog",
-    # environment
-    "OrbitConfig", "OrbitFrameSample", "EnvironmentSample", "Face",
-    "SpacecraftGeometry", "AltitudeRangeError", "constants", "orbit_period",
-    "propagate_orbit", "magnetic_field", "sun_direction",
-    "atmospheric_density", "drag_torque", "srp_torque",
-    "gravity_gradient_torque", "total_disturbance", "orbit_frame_sample",
-    "sample_environment",
-    # control
-    "Gains", "ActuatorLimits", "Fidelity", "Mode", "ModeThresholds",
-    "ErrorState", "TorqueCommand", "ZeroFieldError", "error_state",
-    "pd_torque", "spin_torques", "allocate_magnetorquer", "wheel_step",
-    "mode_transition", "total_control",
-    # harness
-    "Scenario", "AssembledScenario", "Telemetry", "RunResult",
-    "MonteCarloResult", "DivergenceError", "assemble", "run_scenario",
-    "run_scenario_metrics", "detumble_time", "settle_time", "align_time",
-    "monte_carlo", "default_scenario",
-    # config
-    "ConfigError", "scenario_from_dict", "load_scenario",
-    "__version__",
-]
+__all__ = ["default_scenario", "run_scenario", "monte_carlo", "__version__"]

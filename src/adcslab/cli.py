@@ -19,12 +19,13 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .config import ConfigError, scenario_from_dict
+from .config import ConfigError, read_config, scenario_from_dict
 from .control import Fidelity
 from .harness import (
     STANDALONE_MODES,
@@ -51,7 +52,17 @@ _ALL_MODES = STANDALONE_MODES + ("conops",)
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract reserves 2 for
-    ran-but-did-not-converge, so remap usage problems to exit 1."""
+    ran-but-did-not-converge, so remap usage problems to exit 1.
+
+    argparse reads an argument that starts with ``-`` as an option unless
+    the whole argument is a plain number.  Its negative-number pattern is
+    widened here so that a comma triplet such as ``-42.9,10,5`` is read as a
+    value too; no option of this CLI starts with ``-`` and a digit.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):  # noqa: D401 - argparse override
         self.print_usage(sys.stderr)
@@ -152,15 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _base_scenario(args) -> Scenario:
     mode_flag = args.forced_mode if getattr(args, "forced_mode", None) else args.mode
     if args.config:
-        path = Path(args.config)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object at the top level")
+        data = read_config(args.config)
         if mode_flag:
             mode_section = data.setdefault("mode", {})
             if not isinstance(mode_section, dict):
@@ -170,7 +173,7 @@ def _base_scenario(args) -> Scenario:
                     "the conops command needs a conops config (mode.mode is "
                     f"{mode_section.get('mode')!r})")
             mode_section["mode"] = mode_flag
-        return scenario_from_dict(data, config_dir=path.parent)
+        return scenario_from_dict(data, config_dir=Path(args.config).parent)
     return default_scenario(mode_flag or "detumble")
 
 

@@ -31,7 +31,7 @@ from .harness import STANDALONE_MODES, Scenario, default_scenario
 from .massmodel import CatalogError, load_catalog
 from .quatmath import RPM_TO_RADPS, Quat, Vec3, normalize_canonical, quat_from_euler
 
-__all__ = ["ConfigError", "scenario_from_dict", "load_scenario"]
+__all__ = ["ConfigError", "read_config", "scenario_from_dict", "load_scenario"]
 
 _SECTIONS = ("orbit", "mass", "geometry", "gains", "limits", "mode", "sim")
 
@@ -253,15 +253,19 @@ def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
-    """Load a scenario config file; catalog paths resolve relative to it."""
-    p = Path(path)
+def read_config(path) -> dict:
+    """Parse a config file into its top-level JSON object."""
     try:
-        text = p.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data, config_dir=p.parent)
+    return _require(data, dict, f"config file {path}")
+
+
+def load_scenario(path) -> Scenario:
+    """Load a scenario config file; catalog paths resolve relative to it."""
+    return scenario_from_dict(read_config(path), config_dir=Path(path).parent)

@@ -48,7 +48,6 @@ __all__ = [
     "gravity_gradient_torque",
     "total_disturbance",
     "orbit_frame_sample",
-    "sample_environment",
 ]
 
 
@@ -240,14 +239,16 @@ def sun_direction(
     and its position projects inside the Earth-radius shadow cylinder.
     """
     s_hat = vunit(sun_inertial)
-    r = propagate_orbit(cfg, t).position_m
+    return s_hat, _in_eclipse(propagate_orbit(cfg, t).position_m, s_hat, cfg.earth_radius_m)
+
+
+def _in_eclipse(r: Vec3, s_hat: Vec3, earth_radius_m: float) -> bool:
+    """Cylindrical-shadow test for position ``r`` and unit sun vector ``s_hat``."""
     along = vdot(r, s_hat)
-    if along < 0.0:
-        perp = Vec3(r[0] - along * s_hat[0], r[1] - along * s_hat[1], r[2] - along * s_hat[2])
-        in_eclipse = vnorm(perp) < cfg.earth_radius_m
-    else:
-        in_eclipse = False
-    return s_hat, in_eclipse
+    if along >= 0.0:
+        return False
+    perp = Vec3(r[0] - along * s_hat[0], r[1] - along * s_hat[1], r[2] - along * s_hat[2])
+    return vnorm(perp) < earth_radius_m
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +459,13 @@ def orbit_frame_sample(
     orbit = propagate_orbit(cfg, t)
     b_orbit = orbit.to_orbit_frame(magnetic_field(orbit, dipole_tilt_deg,
                                                   earth_radius_m=cfg.earth_radius_m))
-    s_hat, in_eclipse = sun_direction(t, cfg, sun_inertial)
+    s_hat = vunit(sun_inertial)
     return OrbitFrameSample(
         b_orbit_tesla=b_orbit,
         sun_orbit=orbit.to_orbit_frame(s_hat),
-        in_eclipse=in_eclipse,
+        in_eclipse=_in_eclipse(orbit.position_m, s_hat, cfg.earth_radius_m),
         density_kgm3=atmospheric_density(cfg.altitude_km, table),
         v_orbit_mps=Vec3(orbit.speed_mps, 0.0, 0.0),  # x is along velocity by construction
         r_orbit_m=Vec3(0.0, 0.0, -orbit.radius_m),    # z points toward the Earth's center
     )
 
-
-def sample_environment(
-    cfg: OrbitConfig,
-    q: Quat,
-    t: float,
-    sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0),
-    dipole_tilt_deg: float = _CONSTANTS.default_dipole_tilt_deg,
-    table: AtmosphereTable | None = None,
-) -> EnvironmentSample:
-    """Assemble the body-frame environment sample at time ``t`` for attitude ``q``."""
-    return orbit_frame_sample(cfg, t, sun_inertial, dipole_tilt_deg, table).to_body(q)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from statistics import fmean
 from typing import Iterable, Sequence, TextIO
 
@@ -98,6 +99,7 @@ __all__ = [
     "default_scenario",
     "default_limits",
     "ROD_EFFECTIVE_TORQUE_NM",
+    "REFERENCE_DETUMBLE_ORBITS",
 ]
 
 # Effective per-axis torque authority of the flight torque rods (0.2 A*m^2)
@@ -106,6 +108,10 @@ __all__ = [
 # |m||B| is a few times larger; this effective value reproduces the expected
 # multi-orbit de-tumble timeline and is what the bundled scenarios use.
 ROD_EFFECTIVE_TORQUE_NM = 2.2e-6
+
+# Reference de-tumble times (orbits) for equal-axis initial rates of 30 to
+# 60 RPM: the ladder ROD_EFFECTIVE_TORQUE_NM is calibrated against.
+REFERENCE_DETUMBLE_ORBITS = {30: 5.32, 35: 5.77, 40: 6.05, 45: 6.43, 50: 6.93, 55: 7.10, 60: 7.60}
 
 # Largest rotation (rad) allowed per integrator substep.  The control torque
 # holds for the full control period dt; the attitude integration inside it is
@@ -127,6 +133,12 @@ STANDALONE_MODES = ("detumble", "nominal", "spin", "despin", "safe")
 _SCHEDULE_COMMANDS = ("spin", "despin", "safe", "nominal")
 
 _ZERO_CMD = TorqueCommand(ZERO3, ZERO3, 0.0, False, False)
+
+# The hold time each mode is judged by (conops: back in nominal pointing).
+# Safe mode has none; it always counts as converged.
+_PRIMARY_METRIC = {"detumble": "detumble_time_s", "nominal": "align_time_s",
+                   "spin": "spin_settle_time_s", "despin": "despin_time_s",
+                   "conops": "align_time_s"}
 
 
 class DivergenceError(RuntimeError):
@@ -274,7 +286,8 @@ def assemble(s: Scenario) -> AssembledScenario:
                 f"fixed regolith position {tuple(pos)} cm is outside the payload chamber")
         catalog = catalog.with_regolith_at(pos)
     elif s.regolith_policy == "sampled":
-        catalog = catalog.with_regolith_at(sample_regolith(catalog.chamber, s.seed))
+        catalog = catalog.with_regolith_at(
+            sample_regolith(catalog.chamber, np.random.default_rng(s.seed)))
     props = mass_properties(catalog, warn_degenerate=False)
     floored = apply_inertia_floor(props.inertia_kgm2, s.min_principal_inertia_kgm2)
     inertia = InertiaTensor(floored)
@@ -423,7 +436,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     mode = Mode.DETUMBLE if conops else Mode(s.mode)
     schedule = sorted(
         ((max(0, int(round(t / dt))), Mode(cmd)) for t, cmd in s.schedule),
-        key=lambda e: e[0],
+        key=itemgetter(0),
     )
     sched_i = 0
 
@@ -557,28 +570,20 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     record(state, cmd, mode)
     telemetry = Telemetry(rows)
 
-    detumble_s = _hold_time(telemetry, lambda r: _speed(r[5:8]) >= thresholds.detumble_exit_radps)
-    despin_s = _hold_time(telemetry, lambda r: _speed(r[5:8]) >= thresholds.despin_exit_radps)
-    spin_tol = s.settle_band * spin_omega[0]
-    spin_s = _hold_time(telemetry, lambda r: abs(r[5] - spin_omega[0]) > spin_tol)
-    align_tol = s.align_tolerance_deg
-    align_s = _hold_time(
-        telemetry, lambda r: max(abs(r[8]), abs(r[9]), abs(r[10])) > align_tol)
-
-    if s.mode == "detumble":
-        primary, converged = detumble_s, detumble_s is not None
-    elif s.mode == "spin":
-        primary, converged = spin_s, spin_s is not None
-    elif s.mode == "despin":
-        primary, converged = despin_s, despin_s is not None
-    elif s.mode == "nominal":
-        primary, converged = align_s, align_s is not None
-    elif s.mode == "safe":
-        primary, converged = 0.0, True
-    else:  # conops: back in nominal with tame rates, schedule fully issued
-        primary = align_s
+    # Metrics, from the recorded telemetry.
+    hold_times = {
+        "detumble_time_s": _rest_time(telemetry, thresholds.detumble_exit_radps),
+        "spin_settle_time_s": settle_time(telemetry, spin_omega, s.settle_band, component=0),
+        "despin_time_s": _rest_time(telemetry, thresholds.despin_exit_radps),
+        "align_time_s": align_time(telemetry, s.align_tolerance_deg),
+    }
+    detumble_s = hold_times["detumble_time_s"]
+    primary = 0.0 if s.mode == "safe" else hold_times[_PRIMARY_METRIC[s.mode]]
+    if conops:  # back in nominal with tame rates, schedule fully issued
         converged = (mode is Mode.NOMINAL and sched_i == len(schedule)
                      and _speed(state.omega) < thresholds.detumble_exit_radps)
+    else:
+        converged = primary is not None
 
     max_qe = max_speed = max_cone = None
     if primary is not None:
@@ -593,11 +598,8 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         duration_s=duration,
         dt_s=dt,
         steps=n_steps,
-        detumble_time_s=detumble_s,
         detumble_time_orbits=None if detumble_s is None else detumble_s / period,
-        spin_settle_time_s=spin_s,
-        despin_time_s=despin_s,
-        align_time_s=align_s,
+        **hold_times,
         final_q=state.q,
         final_omega_radps=state.omega,
         final_speed_radps=_speed(state.omega),
@@ -637,11 +639,16 @@ def _hold_time(telemetry: Telemetry, outside) -> float | None:
     return rows[last + 1][0]
 
 
+def _rest_time(telemetry: Telemetry, threshold_radps: float) -> float | None:
+    """Time after which |omega| stays below the threshold (seconds)."""
+    return _hold_time(telemetry, lambda r: _speed(r[5:8]) >= threshold_radps)
+
+
 def detumble_time(telemetry: Telemetry, threshold_radps: float,
                   orbit_period_s: float) -> float | None:
     """De-tumble completion in orbits: when |omega| drops below the threshold
     and stays there for the rest of the record; None if it never does."""
-    t = _hold_time(telemetry, lambda r: _speed(r[5:8]) >= threshold_radps)
+    t = _rest_time(telemetry, threshold_radps)
     return None if t is None else t / orbit_period_s
 
 
@@ -722,11 +729,8 @@ def _mc_scenario(base: Scenario, master_seed: int, index: int,
     updates: dict = {"name": f"{base.name}[{index}]"}
     if "regolith" in vary:
         chamber = (base.catalog if base.catalog is not None else bundled_catalog()).chamber
-        pos = Vec3(float(rng.uniform(*chamber.x)),
-                   float(rng.uniform(*chamber.y)),
-                   float(rng.uniform(*chamber.z)))
         updates["regolith_policy"] = "fixed"
-        updates["regolith_fixed_cm"] = pos
+        updates["regolith_fixed_cm"] = sample_regolith(chamber, rng)
     if "omega" in vary:
         lo, hi = omega_rpm_range
         w = rng.uniform(lo, hi, 3) * RPM_TO_RADPS

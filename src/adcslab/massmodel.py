@@ -245,9 +245,9 @@ def corner_envelope(catalog: MassCatalog, chamber: ChamberBounds | None = None) 
     )
 
 
-def sample_regolith(chamber: ChamberBounds, seed: int) -> Vec3:
-    """Uniform random placement inside the chamber, deterministic per seed."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def sample_regolith(chamber: ChamberBounds, rng: np.random.Generator) -> Vec3:
+    """Uniform random placement inside the chamber: three draws from ``rng``,
+    x then y then z, so the placement is fixed by the generator's seed."""
     return Vec3(
         float(rng.uniform(*chamber.x)),
         float(rng.uniform(*chamber.y)),

@@ -37,7 +37,6 @@ __all__ = [
     "InertiaTensor",
     "SingularInertiaError",
     "NonFiniteStateError",
-    "body_rates_derivative",
     "rk4_step",
     "make_rigid_body_dynamics",
     "free_rotation",
@@ -125,43 +124,6 @@ class InertiaTensor:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InertiaTensor({self._m.tolist()})"
-
-
-def body_rates_derivative(J, omega: Vec3, tau_control: Vec3, tau_disturbance: Vec3) -> Vec3:
-    """Euler's equations: rate derivative for the given torque balance.
-
-    Args:
-        J: an :class:`InertiaTensor`, or a raw 3x3 matrix.  A raw matrix is
-            checked for invertibility and raises :class:`SingularInertiaError`
-            when the mass catalog it came from is degenerate.
-        omega: body rates (rad/s).
-        tau_control: control torque in the body frame (N*m).
-        tau_disturbance: disturbance torque in the body frame (N*m).
-
-    Returns:
-        omega_dot (rad/s^2).
-    """
-    if not isinstance(J, InertiaTensor):
-        m = np.asarray(J, dtype=float)
-        eig = np.linalg.eigvalsh(0.5 * (m + m.T))
-        if abs(eig[0]) <= 1e-12 * max(abs(eig[-1]), 1e-300):
-            raise SingularInertiaError(
-                f"inertia tensor is singular (eigenvalues {eig}); "
-                "the mass catalog is degenerate"
-            )
-        J = InertiaTensor(m)
-    wx, wy, wz = omega
-    (a, b, c), (d, e, f), (g, h, i) = J.rows
-    hx = a * wx + b * wy + c * wz
-    hy = d * wx + e * wy + f * wz
-    hz = g * wx + h * wy + i * wz
-    gx = tau_control[0] + tau_disturbance[0] - (wy * hz - wz * hy)
-    gy = tau_control[1] + tau_disturbance[1] - (wz * hx - wx * hz)
-    gz = tau_control[2] + tau_disturbance[2] - (wx * hy - wy * hx)
-    (p, qq, r), (s, t, u), (v, w, x) = J.inverse_rows
-    return Vec3(p * gx + qq * gy + r * gz,
-                s * gx + t * gy + u * gz,
-                v * gx + w * gy + x * gz)
 
 
 def make_rigid_body_dynamics(J: InertiaTensor, torque: Vec3) -> Dynamics:

@@ -18,6 +18,7 @@ import pytest
 from adcslab.control import Fidelity, Gains
 from adcslab.environment import OrbitConfig, orbit_period
 from adcslab.harness import (
+    REFERENCE_DETUMBLE_ORBITS,
     default_limits,
     default_scenario,
     monte_carlo,
@@ -35,17 +36,6 @@ from adcslab.massmodel import (
 from adcslab.quatmath import IDENTITY, RPM_TO_RADPS, Vec3
 from adcslab.rigidbody import AttitudeState, InertiaTensor, free_rotation, rk4_step
 
-# Reference de-tumble times (orbits) for equal-axis initial rates, the
-# calibration target for the rods' effective orbit-average torque.
-REFERENCE_DETUMBLE_ORBITS = {
-    30: 5.32,
-    35: 5.77,
-    40: 6.05,
-    45: 6.43,
-    50: 6.93,
-    55: 7.10,
-    60: 7.60,
-}
 SWEEP_BUDGET_S = 300.0
 ORBIT_PERIOD_S = orbit_period(OrbitConfig())
 

@@ -81,6 +81,22 @@ def test_flag_parse_errors_return_1(capsys):
     assert main(["simulate", "--mode", "safe", "--omega0-rpm", "a,b,c"]) == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--q0-euler-deg", "-42.9,10,5"),
+    ("--omega0-rpm", "-1,2,0.5"),
+    ("--regolith-cm", "-3,2,5"),
+])
+def test_vector_flags_take_a_negative_first_component(tmp_path, flag, value):
+    """``--flag -1,2,3`` reads like ``--flag=-1,2,3``, not like an unknown option."""
+    base = ["simulate", "--mode", "safe", "--duration-s", "1", "--quiet"]
+    rc, split = _summary(tmp_path, base + [flag, value, "--out", "split.csv"])
+    assert rc == 0
+    _, joined = _summary(tmp_path, base + [f"{flag}={value}", "--out", "joined.csv"])
+    _, plain = _summary(tmp_path, base + ["--out", "plain.csv"])
+    assert split == joined != plain
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+
 def test_config_error_paths_return_1(tmp_path, capsys):
     assert main(["simulate", "--config", "missing.json"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -20,7 +20,6 @@ from adcslab.environment import (
     orbit_frame_sample,
     orbit_period,
     propagate_orbit,
-    sample_environment,
     srp_torque,
     sun_direction,
     total_disturbance,
@@ -455,6 +454,23 @@ def test_orbit_frame_sample_fixed_components():
     assert s.in_eclipse == sun_direction(777.0, CFG)[1]
 
 
+def test_orbit_frame_sample_eclipse_matches_sun_direction_over_an_orbit(monkeypatch):
+    """The sample takes its eclipse flag from the one orbit state it propagates."""
+    import adcslab.environment as environment
+
+    calls = []
+    real = environment.propagate_orbit
+    monkeypatch.setattr(environment, "propagate_orbit",
+                        lambda cfg, t: calls.append(t) or real(cfg, t))
+    T = orbit_period(CFG)
+    sun = Vec3(0.3, -2.0, 0.5)
+    times = [i * T / 97.0 for i in range(97)]
+    flags = [orbit_frame_sample(CFG, t, sun).in_eclipse for t in times]
+    assert calls == times
+    assert flags == [sun_direction(t, CFG, sun)[1] for t in times]
+    assert any(flags) and not all(flags)
+
+
 def test_to_body_with_identity_attitude_is_a_copy():
     s = orbit_frame_sample(CFG, 60.0)
     env = s.to_body(IDENTITY)
@@ -474,8 +490,3 @@ def test_to_body_rotates_every_vector_consistently():
     assert env.v_rel_body_mps == rotate_orbit_to_body(q, s.v_orbit_mps)
     assert env.r_body_m == rotate_orbit_to_body(q, s.r_orbit_m)
     assert vnorm(env.b_body_tesla) == pytest.approx(vnorm(s.b_orbit_tesla), rel=1e-12)
-
-
-def test_sample_environment_matches_two_step_path():
-    q = quat_from_euler(-10.0, 35.0, 120.0)
-    assert sample_environment(CFG, q, 2345.0) == orbit_frame_sample(CFG, 2345.0).to_body(q)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from adcslab.control import ActuatorLimits, Fidelity, Gains
@@ -21,7 +22,7 @@ from adcslab.harness import (
     run_scenario_metrics,
     settle_time,
 )
-from adcslab.massmodel import bundled_catalog
+from adcslab.massmodel import bundled_catalog, sample_regolith
 from adcslab.quatmath import RPM_TO_RADPS, Vec3, quat_from_euler, vnorm
 
 PERIOD = orbit_period(OrbitConfig())
@@ -281,6 +282,19 @@ def test_monte_carlo_varies_what_it_is_told_to():
     chamber = bundled_catalog().chamber
     assert all(chamber.contains(p) for p in placements)
     assert [r.scenario_name for r in mc.results] == [f"spin-default[{i}]" for i in range(3)]
+
+
+def test_monte_carlo_and_the_sampled_policy_share_one_regolith_sampler():
+    """Run i draws its placement from the (seed, i) generator before the rates;
+    policy 'sampled' draws from the generator of the scenario seed."""
+    chamber = bundled_catalog().chamber
+    mc = monte_carlo(default_scenario("spin", duration_s=1.0), 4, seed=11,
+                     vary=("regolith", "omega"), omega_rpm_range=(-1.0, 1.0))
+    for i, r in enumerate(mc.results):
+        rng = np.random.default_rng(np.random.SeedSequence((11, i)))
+        assert r.regolith_position_cm == sample_regolith(chamber, rng)
+    sampled = assemble(Scenario(regolith_policy="sampled", seed=5))
+    assert sampled.regolith_position_cm == sample_regolith(chamber, np.random.default_rng(5))
 
 
 def test_monte_carlo_summary_structure():

@@ -21,28 +21,14 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .config import ConfigError, read_config, scenario_from_dict
 from .control import Fidelity
-from .harness import (
-    STANDALONE_MODES,
-    DivergenceError,
-    Scenario,
-    default_scenario,
-    monte_carlo,
-    run_scenario,
-)
-from .massmodel import (
-    CatalogError,
-    bundled_catalog,
-    corner_envelope,
-    load_catalog,
-    mass_properties,
-)
-from .quatmath import RPM_TO_RADPS, Vec3, quat_from_euler
+from .harness import STANDALONE_MODES, DivergenceError, Scenario, monte_carlo, run_scenario
+from .massmodel import bundled_catalog, corner_envelope, load_catalog, mass_properties
+from .quatmath import Vec3
 from .svgplot import write_plot
 
 __all__ = ["main", "build_parser"]
@@ -69,12 +55,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _vec3_flag(text: str, flag: str) -> Vec3:
+def _flag_numbers(args, name: str, count: int) -> tuple[float, ...] | None:
+    """The comma list of ``count`` numbers given to flag ``name``, if any."""
+    text = getattr(args, name)
+    if text is None:
+        return None
+    flag = "--" + name.replace("_", "-")
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag}: expected three comma-separated numbers, got {text!r}")
+    if len(parts) != count:
+        words = {2: "two", 3: "three"}[count]
+        raise ConfigError(f"{flag}: expected {words} comma-separated numbers, got {text!r}")
     try:
-        return Vec3(float(parts[0]), float(parts[1]), float(parts[2]))
+        return tuple(float(part) for part in parts)
     except ValueError as exc:
         raise ConfigError(f"{flag}: non-numeric value in {text!r}") from exc
 
@@ -151,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-run results CSV (default: %(default)s)")
     p_mc.add_argument("--summary", metavar="JSON", help="write the batch summary JSON")
     p_mc.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-    p_mc.set_defaults(func=_cmd_montecarlo)
+    p_mc.set_defaults(func=_cmd_montecarlo, forced_mode=None)
 
     return parser
 
@@ -160,70 +152,51 @@ def build_parser() -> argparse.ArgumentParser:
 # Scenario construction (flags > config > defaults)
 # ---------------------------------------------------------------------------
 
-def _base_scenario(args) -> Scenario:
-    mode_flag = args.forced_mode if getattr(args, "forced_mode", None) else args.mode
-    if args.config:
-        data = read_config(args.config)
-        if mode_flag:
-            mode_section = data.setdefault("mode", {})
-            if not isinstance(mode_section, dict):
-                raise ConfigError("mode: expected an object")
-            if args.forced_mode and mode_section.get("mode", "conops") != "conops":
-                raise ConfigError(
-                    "the conops command needs a conops config (mode.mode is "
-                    f"{mode_section.get('mode')!r})")
-            mode_section["mode"] = mode_flag
-        return scenario_from_dict(data, config_dir=Path(args.config).parent)
-    return default_scenario(mode_flag or "detumble")
+# A flag that sets one of these config keys replaces the other way of giving
+# the same value.
+_REPLACES = {"duration_s": "duration_orbits", "omega0_rpm": "omega0_radps",
+             "q0_euler_deg": "q0"}
 
 
-def _apply_flag_overrides(s: Scenario, args) -> Scenario:
-    updates: dict = {}
-    if args.dt is not None:
-        updates["dt_s"] = args.dt
-    if args.duration_s is not None:
-        updates["duration_s"] = args.duration_s
-        updates["duration_orbits"] = None
-    if args.duration_orbits is not None:
-        updates["duration_orbits"] = args.duration_orbits
-    if args.fidelity:
-        updates["fidelity"] = Fidelity(args.fidelity)
-    if args.omega0_rpm:
-        w = _vec3_flag(args.omega0_rpm, "--omega0-rpm")
-        updates["omega0_radps"] = Vec3(w[0] * RPM_TO_RADPS, w[1] * RPM_TO_RADPS,
-                                       w[2] * RPM_TO_RADPS)
-    if args.q0_euler_deg:
-        e = _vec3_flag(args.q0_euler_deg, "--q0-euler-deg")
-        updates["q0"] = quat_from_euler(e[0], e[1], e[2])
-    if args.catalog:
-        updates["catalog"] = load_catalog(args.catalog)
-    if args.regolith_cm:
-        updates["regolith_policy"] = "fixed"
-        updates["regolith_fixed_cm"] = _vec3_flag(args.regolith_cm, "--regolith-cm")
-    elif args.regolith:
-        updates["regolith_policy"] = args.regolith
-    if args.spin_rpm is not None:
-        updates["spin_target_rpm"] = args.spin_rpm
-    if args.drag is not None:
-        updates["enable_drag"] = args.drag
-    if args.srp is not None:
-        updates["enable_srp"] = args.srp
-    if args.gravity_gradient is not None:
-        updates["enable_gravity_gradient"] = args.gravity_gradient
-
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    elif s.seed is None and "ADCSLAB_SEED" in os.environ:
+def _scenario(args) -> Scenario:
+    """Lay the scenario flags over the config object (or over ``{}``) and
+    build the scenario with the config reader."""
+    data = read_config(args.config) if args.config else {}
+    mode_section = data.get("mode")
+    if (args.forced_mode and isinstance(mode_section, dict)
+            and mode_section.get("mode", "conops") != "conops"):
+        raise ConfigError("the conops command needs a conops config (mode.mode is "
+                          f"{mode_section.get('mode')!r})")
+    flags = {
+        ("mode", "mode"): args.forced_mode or args.mode,
+        ("mode", "fidelity"): args.fidelity,
+        ("mode", "spin_target_rpm"): args.spin_rpm,
+        ("mass", "catalog"): args.catalog and os.path.abspath(args.catalog),
+        ("mass", "regolith_policy"): "fixed" if args.regolith_cm else args.regolith,
+        ("mass", "regolith_position_cm"): _flag_numbers(args, "regolith_cm", 3),
+        ("sim", "dt_s"): args.dt,
+        ("sim", "duration_s"): args.duration_s,
+        ("sim", "duration_orbits"): args.duration_orbits,
+        ("sim", "q0_euler_deg"): _flag_numbers(args, "q0_euler_deg", 3),
+        ("sim", "omega0_rpm"): _flag_numbers(args, "omega0_rpm", 3),
+        ("sim", "seed"): args.seed,
+        ("sim", "enable_drag"): args.drag,
+        ("sim", "enable_srp"): args.srp,
+        ("sim", "enable_gravity_gradient"): args.gravity_gradient,
+    }
+    for (name, key), value in flags.items():
+        section = data.setdefault(name, {})
+        if value is not None and isinstance(section, dict):  # else the reader rejects it
+            section[key] = value
+            section.pop(_REPLACES.get(key), None)
+    sim = data["sim"]
+    if isinstance(sim, dict) and "seed" not in sim and "ADCSLAB_SEED" in os.environ:
         raw = os.environ["ADCSLAB_SEED"]
         try:
-            updates["seed"] = int(raw)
+            sim["seed"] = int(raw)
         except ValueError as exc:
             raise ConfigError(f"ADCSLAB_SEED must be an integer, got {raw!r}") from exc
-
-    try:
-        return replace(s, **updates)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return scenario_from_dict(data, config_dir=Path(args.config).parent if args.config else None)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +204,7 @@ def _apply_flag_overrides(s: Scenario, args) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    scenario = _apply_flag_overrides(_base_scenario(args), args)
+    scenario = _scenario(args)
     try:
         telemetry, result = run_scenario(scenario)
     except DivergenceError as exc:
@@ -251,7 +224,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_inertia(args) -> int:
     catalog = load_catalog(args.catalog) if args.catalog else bundled_catalog()
     if args.regolith_cm:
-        catalog = catalog.with_regolith_at(_vec3_flag(args.regolith_cm, "--regolith-cm"))
+        catalog = catalog.with_regolith_at(Vec3(*_flag_numbers(args, "regolith_cm", 3)))
     props = mass_properties(catalog)
     report: dict = {
         "catalog": catalog.name,
@@ -315,28 +288,12 @@ def _mc_cell(v) -> str:
 
 
 def _cmd_montecarlo(args) -> int:
-    if args.runs < 1:
-        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     vary = tuple(v.strip() for v in args.vary.split(",") if v.strip())
-    omega_range = None
-    if args.omega_range:
-        parts = args.omega_range.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"--omega-range: expected LO,HI, got {args.omega_range!r}")
-        try:
-            omega_range = (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(f"--omega-range: non-numeric bound in {args.omega_range!r}") from exc
-
-    scenario = _apply_flag_overrides(_base_scenario(args), args)
+    omega_range = _flag_numbers(args, "omega_range", 2)
+    scenario = _scenario(args)
     seed = scenario.seed if scenario.seed is not None else 0
-    try:
-        mc = monte_carlo(scenario, args.runs, seed, vary=vary,
-                         omega_rpm_range=omega_range, workers=args.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    mc = monte_carlo(scenario, args.runs, seed, vary=vary,
+                     omega_rpm_range=omega_range, workers=args.workers)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -367,7 +324,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CatalogError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and CatalogError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

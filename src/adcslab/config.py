@@ -14,21 +14,21 @@ Example::
       "gains": {"kp": 9e-5, "kd": 9e-3}
     }
 
-Precedence is handled by the caller (command-line flags are applied on top of
-the loaded scenario; the scenario itself is built on top of the per-mode
-preset defaults).
+This is the one reader of outside input: the command line lays its scenario
+flags over the config object and builds the scenario here too.  The scenario
+itself is built on top of the per-mode preset defaults.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .control import Fidelity
-from .environment import OrbitConfig, SpacecraftGeometry
+from .environment import SpacecraftGeometry
 from .harness import STANDALONE_MODES, Scenario, default_scenario
-from .massmodel import CatalogError, load_catalog
+from .massmodel import CatalogError, load_catalog, read_json_object
 from .quatmath import RPM_TO_RADPS, Quat, Vec3, normalize_canonical, quat_from_euler
 
 __all__ = ["ConfigError", "read_config", "scenario_from_dict", "load_scenario"]
@@ -66,29 +66,140 @@ def _numbers(obj, n: int, where: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(obj))
 
 
-def _check_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
+def _check_keys(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(
             f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _orbit(section: dict, base: OrbitConfig) -> OrbitConfig:
-    _check_keys(section, ("altitude_km", "inclination_deg", "raan_deg", "phase_deg"), "orbit")
-    kwargs = {k: _number(v, f"orbit.{k}") for k, v in section.items()}
-    try:
-        return replace(base, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"orbit: {exc}") from exc
-
-
-def _simple_section(section: dict, base, allowed: tuple[str, ...], where: str):
+def _simple_section(section: dict, build, allowed: tuple[str, ...], where: str):
+    """``build(**section)`` for a section whose values are all numbers."""
     _check_keys(section, allowed, where)
     kwargs = {k: _number(v, f"{where}.{k}") for k, v in section.items()}
     try:
-        return replace(base, **kwargs)
+        return build(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _string(obj, where: str) -> str:
+    return _require(obj, str, where)
+
+
+def _vec3(obj, where: str) -> Vec3:
+    return Vec3(*_numbers(obj, 3, where))
+
+
+def _rpm(obj, where: str) -> Vec3:
+    w = _numbers(obj, 3, where)
+    return Vec3(w[0] * RPM_TO_RADPS, w[1] * RPM_TO_RADPS, w[2] * RPM_TO_RADPS)
+
+
+def _quat(obj, where: str) -> Quat:
+    try:
+        return normalize_canonical(Quat(*_numbers(obj, 4, where)))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _euler(obj, where: str) -> Quat:
+    return quat_from_euler(*_numbers(obj, 3, where))
+
+
+def _seed(obj, where: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ConfigError(f"{where}: expected an integer, got {obj!r}")
+    return obj
+
+
+def _policy(obj, where: str) -> str:
+    policy = _require(obj, str, where)
+    if policy not in ("stowed", "fixed", "sampled"):
+        raise ConfigError(f"{where}: unknown policy {policy!r}")
+    return policy
+
+
+def _fidelity(obj, where: str) -> Fidelity:
+    raw = _require(obj, str, where)
+    try:
+        return Fidelity(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: expected 'ideal' or 'physical', got {raw!r}") from exc
+
+
+def _schedule(obj, where: str) -> tuple[tuple[float, str], ...]:
+    schedule = []
+    for i, entry in enumerate(_require(obj, list, where)):
+        _require(entry, (list, tuple), f"{where}[{i}]")
+        if len(entry) != 2:
+            raise ConfigError(f"{where}[{i}]: expected [time_s, command]")
+        schedule.append((_number(entry[0], f"{where}[{i}][0]"),
+                         _require(entry[1], str, f"{where}[{i}][1]")))
+    return tuple(schedule)
+
+
+# Sections whose keys are all numbers, with the keys each one accepts.
+_NUMBER_SECTIONS = {
+    "orbit": ("altitude_km", "inclination_deg", "raan_deg", "phase_deg"),
+    "geometry": ("x_m", "y_m", "z_m", "drag_coefficient",
+                 "specular_reflectance", "diffuse_reflectance"),
+    "gains": ("kp", "kd", "k1", "k2"),
+    "limits": ("max_dipole_am2", "max_magnetic_torque_nm",
+               "max_wheel_torque_nm", "max_wheel_momentum_nms"),
+}
+
+# Section -> key -> (Scenario field, parser).  Two keys that set the same
+# field are alternatives; a section may give only one of them.
+_KEYS = {
+    "mass": {
+        "regolith_policy": ("regolith_policy", _policy),
+        "regolith_position_cm": ("regolith_fixed_cm", _vec3),
+        "min_principal_inertia_kgm2": ("min_principal_inertia_kgm2", _number),
+    },
+    "mode": {
+        "fidelity": ("fidelity", _fidelity),
+        "schedule": ("schedule", _schedule),
+        "spin_target_rpm": ("spin_target_rpm", _number),
+        "multiplicative_error": ("multiplicative_error", _boolean),
+    },
+    "sim": {
+        "name": ("name", _string),
+        "q0": ("q0", _quat),
+        "q0_euler_deg": ("q0", _euler),
+        "omega0_radps": ("omega0_radps", _vec3),
+        "omega0_rpm": ("omega0_radps", _rpm),
+        "sun_inertial": ("sun_inertial", _vec3),
+        "seed": ("seed", _seed),
+        **{key: (key, _number) for key in (
+            "dt_s", "duration_s", "duration_orbits", "wheel_momentum0_nms",
+            "dipole_tilt_deg", "env_update_every_s", "telemetry_cadence_s",
+            "settle_band", "align_tolerance_deg")},
+        **{key: (key, _boolean) for key in (
+            "enable_drag", "enable_srp", "enable_gravity_gradient", "orbit_rate_coupling")},
+    },
+}
+
+
+def _keyed_section(data: dict, name: str, special: tuple[str, ...] = ()) -> dict:
+    """Scenario updates from section ``name``, read through ``_KEYS[name]``.
+
+    The ``special`` keys are allowed too and left to the caller.
+    """
+    table = _KEYS[name]
+    section = data.get(name, {})
+    _check_keys(section, (*table, *special), name)
+    given: dict = {}
+    for key in section:
+        if key in special:
+            continue
+        field = table[key][0]
+        if field in given:
+            first, second = sorted((given[field], key))
+            raise ConfigError(f"{name}: give {first} or {second}, not both")
+        given[field] = key
+    return {field: table[key][1](section[key], f"{name}.{key}")
+            for field, key in given.items()}
 
 
 def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
@@ -105,145 +216,42 @@ def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
             _require(data[name], dict, name)
 
     mode_section = data.get("mode", {})
-    _check_keys(mode_section, ("mode", "fidelity", "schedule", "spin_target_rpm",
-                               "thresholds", "multiplicative_error"), "mode")
     mode = mode_section.get("mode", "detumble")
     if mode not in STANDALONE_MODES + ("conops",):
         raise ConfigError(f"mode.mode: unknown mode {mode!r}")
-
     s = default_scenario(mode)
+
     updates: dict = {}
+    for name, allowed in _NUMBER_SECTIONS.items():
+        if name in data:
+            build = (SpacecraftGeometry.box if name == "geometry"
+                     else partial(replace, getattr(s, name)))
+            updates[name] = _simple_section(data[name], build, allowed, name)
 
-    if "orbit" in data:
-        updates["orbit"] = _orbit(data["orbit"], s.orbit)
-
-    if "mass" in data:
-        section = data["mass"]
-        _check_keys(section, ("catalog", "regolith_policy", "regolith_position_cm",
-                              "min_principal_inertia_kgm2"), "mass")
-        if "catalog" in section:
-            path = Path(_require(section["catalog"], str, "mass.catalog"))
-            if config_dir is not None and not path.is_absolute():
-                path = config_dir / path
-            try:
-                updates["catalog"] = load_catalog(path)
-            except CatalogError as exc:
-                raise ConfigError(f"mass.catalog: {exc}") from exc
-        if "regolith_policy" in section:
-            policy = _require(section["regolith_policy"], str, "mass.regolith_policy")
-            if policy not in ("stowed", "fixed", "sampled"):
-                raise ConfigError(f"mass.regolith_policy: unknown policy {policy!r}")
-            updates["regolith_policy"] = policy
-        if "regolith_position_cm" in section:
-            updates["regolith_fixed_cm"] = Vec3(
-                *_numbers(section["regolith_position_cm"], 3, "mass.regolith_position_cm"))
-        if "min_principal_inertia_kgm2" in section:
-            updates["min_principal_inertia_kgm2"] = _number(
-                section["min_principal_inertia_kgm2"], "mass.min_principal_inertia_kgm2")
-
-    if "geometry" in data:
-        section = data["geometry"]
-        allowed = ("x_m", "y_m", "z_m", "drag_coefficient",
-                   "specular_reflectance", "diffuse_reflectance")
-        _check_keys(section, allowed, "geometry")
-        kwargs = {k: _number(v, f"geometry.{k}") for k, v in section.items()}
+    updates.update(_keyed_section(data, "mass", special=("catalog",)))
+    mass = data.get("mass", {})
+    if "catalog" in mass:
+        path = Path(_require(mass["catalog"], str, "mass.catalog"))
+        if config_dir is not None and not path.is_absolute():
+            path = config_dir / path
         try:
-            updates["geometry"] = SpacecraftGeometry.box(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"geometry: {exc}") from exc
+            updates["catalog"] = load_catalog(path)
+        except CatalogError as exc:
+            raise ConfigError(f"mass.catalog: {exc}") from exc
 
-    if "gains" in data:
-        updates["gains"] = _simple_section(
-            data["gains"], s.gains, ("kp", "kd", "k1", "k2"), "gains")
-
-    if "limits" in data:
-        updates["limits"] = _simple_section(
-            data["limits"], s.limits,
-            ("max_dipole_am2", "max_magnetic_torque_nm",
-             "max_wheel_torque_nm", "max_wheel_momentum_nms"), "limits")
-
-    if "fidelity" in mode_section:
-        raw = _require(mode_section["fidelity"], str, "mode.fidelity")
-        try:
-            updates["fidelity"] = Fidelity(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"mode.fidelity: expected 'ideal' or 'physical', got {raw!r}") from exc
-    if "schedule" in mode_section:
-        entries = _require(mode_section["schedule"], list, "mode.schedule")
-        schedule = []
-        for i, entry in enumerate(entries):
-            _require(entry, (list, tuple), f"mode.schedule[{i}]")
-            if len(entry) != 2:
-                raise ConfigError(f"mode.schedule[{i}]: expected [time_s, command]")
-            t = _number(entry[0], f"mode.schedule[{i}][0]")
-            cmd = _require(entry[1], str, f"mode.schedule[{i}][1]")
-            schedule.append((t, cmd))
-        updates["schedule"] = tuple(schedule)
-    if "spin_target_rpm" in mode_section:
-        updates["spin_target_rpm"] = _number(mode_section["spin_target_rpm"],
-                                             "mode.spin_target_rpm")
-    if "multiplicative_error" in mode_section:
-        updates["multiplicative_error"] = _boolean(
-            mode_section["multiplicative_error"], "mode.multiplicative_error")
+    updates.update(_keyed_section(data, "mode", special=("mode", "thresholds")))
     if "thresholds" in mode_section:
         updates["thresholds"] = _simple_section(
             _require(mode_section["thresholds"], dict, "mode.thresholds"),
-            s.thresholds, ("detumble_exit_radps", "despin_exit_radps"), "mode.thresholds")
+            partial(replace, s.thresholds),
+            ("detumble_exit_radps", "despin_exit_radps"), "mode.thresholds")
 
-    if "sim" in data:
-        section = data["sim"]
-        allowed = ("name", "dt_s", "duration_s", "duration_orbits", "q0",
-                   "q0_euler_deg", "omega0_radps", "omega0_rpm",
-                   "wheel_momentum0_nms", "seed", "sun_inertial",
-                   "dipole_tilt_deg", "enable_drag", "enable_srp",
-                   "enable_gravity_gradient", "env_update_every_s",
-                   "telemetry_cadence_s", "settle_band", "align_tolerance_deg",
-                   "orbit_rate_coupling")
-        _check_keys(section, allowed, "sim")
-        if "q0" in section and "q0_euler_deg" in section:
-            raise ConfigError("sim: give q0 or q0_euler_deg, not both")
-        if "omega0_radps" in section and "omega0_rpm" in section:
-            raise ConfigError("sim: give omega0_radps or omega0_rpm, not both")
-        if "name" in section:
-            updates["name"] = _require(section["name"], str, "sim.name")
-        for key in ("dt_s", "duration_s", "duration_orbits", "wheel_momentum0_nms",
-                    "dipole_tilt_deg", "env_update_every_s", "telemetry_cadence_s",
-                    "settle_band", "align_tolerance_deg"):
-            if key in section:
-                updates[key] = _number(section[key], f"sim.{key}")
-        if "duration_s" in section and "duration_orbits" not in section:
-            # A plain seconds duration should not be shadowed by the preset's
-            # orbit-based default.
-            updates["duration_orbits"] = None
-        if "q0" in section:
-            q = _numbers(section["q0"], 4, "sim.q0")
-            try:
-                updates["q0"] = normalize_canonical(Quat(*q))
-            except ValueError as exc:
-                raise ConfigError(f"sim.q0: {exc}") from exc
-        if "q0_euler_deg" in section:
-            updates["q0"] = quat_from_euler(
-                *_numbers(section["q0_euler_deg"], 3, "sim.q0_euler_deg"))
-        if "omega0_radps" in section:
-            updates["omega0_radps"] = Vec3(*_numbers(section["omega0_radps"], 3,
-                                                     "sim.omega0_radps"))
-        if "omega0_rpm" in section:
-            w = _numbers(section["omega0_rpm"], 3, "sim.omega0_rpm")
-            updates["omega0_radps"] = Vec3(w[0] * RPM_TO_RADPS, w[1] * RPM_TO_RADPS,
-                                           w[2] * RPM_TO_RADPS)
-        if "sun_inertial" in section:
-            updates["sun_inertial"] = Vec3(*_numbers(section["sun_inertial"], 3,
-                                                     "sim.sun_inertial"))
-        if "seed" in section:
-            seed = section["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ConfigError(f"sim.seed: expected an integer, got {seed!r}")
-            updates["seed"] = seed
-        for key in ("enable_drag", "enable_srp", "enable_gravity_gradient",
-                    "orbit_rate_coupling"):
-            if key in section:
-                updates[key] = _boolean(section[key], f"sim.{key}")
+    updates.update(_keyed_section(data, "sim"))
+    sim = data.get("sim", {})
+    if "duration_s" in sim and "duration_orbits" not in sim:
+        # A plain seconds duration should not be shadowed by the preset's
+        # orbit-based default.
+        updates["duration_orbits"] = None
 
     if mode != "conops":
         updates.setdefault("schedule", ())
@@ -255,15 +263,7 @@ def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
 
 def read_config(path) -> dict:
     """Parse a config file into its top-level JSON object."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return _require(data, dict, f"config file {path}")
+    return read_json_object(path, "config file", ConfigError)
 
 
 def load_scenario(path) -> Scenario:

@@ -803,6 +803,8 @@ def monte_carlo(
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     vary = tuple(vary)
     for v in vary:
         if v not in ("regolith", "omega"):

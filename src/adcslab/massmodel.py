@@ -28,6 +28,7 @@ import json
 import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "sample_regolith",
     "apply_inertia_floor",
     "artificial_gravity",
+    "read_json_object",
     "load_catalog",
     "bundled_catalog",
     "CM_TO_M",
@@ -327,6 +329,25 @@ def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
     return MassCatalog(components, regolith, chamber, name=str(data.get("name", name)))
 
 
+def read_json_object(path, what: str, error: type[ValueError]) -> dict:
+    """Parse a JSON file whose top level must be an object.
+
+    Failures raise ``error`` with a message that names the file as
+    ``what PATH``: "cannot read", "is not valid JSON" or "expected dict".
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path}: expected dict, got {type(data).__name__}")
+    return data
+
+
 def load_catalog(path) -> MassCatalog:
     """Load a mass catalog from a JSON file.
 
@@ -334,14 +355,8 @@ def load_catalog(path) -> MassCatalog:
         CatalogError: on malformed JSON or schema violations, with the
             offending key in the message.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"catalog file {path} is not valid JSON: {exc}") from exc
-    return catalog_from_dict(data, name=str(path))
+    return catalog_from_dict(read_json_object(path, "catalog file", CatalogError),
+                             name=str(path))
 
 
 def bundled_catalog() -> MassCatalog:

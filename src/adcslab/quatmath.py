@@ -56,16 +56,8 @@ class ZeroQuaternionError(ValueError):
 # Vec3 helpers
 # ---------------------------------------------------------------------------
 
-def vadd(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def vsub(a: Vec3, b: Vec3) -> Vec3:
     return Vec3(a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def vscale(a: Vec3, s: float) -> Vec3:
-    return Vec3(a[0] * s, a[1] * s, a[2] * s)
 
 
 def vdot(a: Vec3, b: Vec3) -> float:

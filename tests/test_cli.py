@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import pytest
 
@@ -122,6 +123,55 @@ def test_flags_beat_config(tmp_path):
                                    "--quiet", "--out", "run.csv"])
     assert rc == 0
     assert blob["duration_s"] == 10.0
+
+
+def _safe_config(tmp_path, sim):
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"mode": {"mode": "safe"}, "sim": {"duration_s": 1.0, **sim}}))
+    return ["simulate", "--config", "c.json", "--quiet"]
+
+
+@pytest.mark.parametrize("flag, value, sim", [
+    ("--q0-euler-deg", "10,20,30", {"q0": [0, 1, 0, 0]}),
+    ("--omega0-rpm", "2,0,0", {"omega0_radps": [0.0, 0.3, 0.0]}),
+])
+def test_vector_flags_replace_the_other_config_key(tmp_path, flag, value, sim):
+    argv = [flag, value, "--out", "run.csv"]
+    rc, both = _summary(tmp_path, _safe_config(tmp_path, sim) + argv)
+    assert rc == 0
+    _, flag_only = _summary(tmp_path, _safe_config(tmp_path, {}) + argv)
+    _, config_only = _summary(tmp_path, _safe_config(tmp_path, sim) + ["--out", "run.csv"])
+    assert both == flag_only != config_only
+
+
+def test_seconds_flag_replaces_the_config_orbits(tmp_path):
+    cfg = {"mode": {"mode": "safe"}, "sim": {"duration_orbits": 1.0}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    rc, blob = _summary(tmp_path, ["simulate", "--config", "c.json", "--duration-s", "3",
+                                   "--quiet", "--out", "run.csv"])
+    assert rc == 0
+    assert blob["duration_s"] == 3.0
+
+
+def test_catalog_flag_resolves_against_the_working_directory(tmp_path):
+    """A config's ``mass.catalog`` resolves against the config's folder, a
+    ``--catalog`` flag against the current directory."""
+    bundled = resources.files("adcslab.data").joinpath("aosat1_mass_catalog.json")
+    (tmp_path / "cat.json").write_text(bundled.read_text("utf-8"))
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "cat.json").write_text("{not json")
+    (tmp_path / "sub" / "c.json").write_text(json.dumps(
+        {"mode": {"mode": "safe"}, "sim": {"duration_s": 1.0}}))
+    rc = main(["simulate", "--config", "sub/c.json", "--catalog", "cat.json",
+               "--quiet", "--out", "run.csv"])
+    assert rc == 0
+
+
+def test_flags_over_a_malformed_config_section_return_1(tmp_path, capsys):
+    (tmp_path / "c.json").write_text(json.dumps({"sim": 5}))
+    assert main(["simulate", "--config", "c.json", "--dt", "0.1", "--quiet",
+                 "--out", "run.csv"]) == 1
+    assert "sim: expected dict" in capsys.readouterr().err
 
 
 def test_plot_writes_valid_svg(tmp_path):
@@ -279,6 +329,8 @@ def test_montecarlo_varies_initial_rates(tmp_path):
 
 def test_montecarlo_flag_validation(capsys):
     assert main(MC[:-1] + ["--runs", "0", "--quiet", "--out", "mc.csv"]) == 1
+    assert main(MC + ["--workers", "0", "--out", "mc.csv"]) == 1
+    assert "workers" in capsys.readouterr().err
     assert main(MC + ["--vary", "omega", "--out", "mc.csv"]) == 1
     assert "omega_rpm_range" in capsys.readouterr().err
     assert main(MC + ["--omega-range", "1", "--vary", "omega", "--out", "mc.csv"]) == 1

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +60,8 @@ def test_duplicate_attitude_or_rate_keys_are_rejected():
         scenario_from_dict({"sim": {"q0": [1, 0, 0, 0], "q0_euler_deg": [0, 0, 0]}})
     with pytest.raises(ConfigError, match="omega0_radps or omega0_rpm"):
         scenario_from_dict({"sim": {"omega0_radps": [0, 0, 0], "omega0_rpm": [0, 0, 0]}})
+    with pytest.raises(ConfigError, match="q0 or q0_euler_deg"):
+        scenario_from_dict({"sim": {"q0_euler_deg": [0, 0, 0], "q0": [1, 0, 0, 0]}})
 
 
 def test_q0_is_normalized():
@@ -145,3 +149,10 @@ def test_load_scenario_error_paths(tmp_path):
     top.write_text("[1, 2, 3]")
     with pytest.raises(ConfigError, match="expected dict"):
         load_scenario(top)
+
+
+def test_the_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Scenario configs.*?```json\n(.*?)```", readme, re.S).group(1)
+    s = scenario_from_dict(json.loads(block))
+    assert s.mode == "conops" and s.regolith_policy == "sampled" and s.seed == 11

@@ -264,6 +264,13 @@ def test_monte_carlo_validates_inputs():
         monte_carlo(base, 2, seed=1, vary=("omega",))            # missing range
 
 
+def test_monte_carlo_rejects_fewer_than_one_worker():
+    base = default_scenario("safe", duration_s=1.0)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            monte_carlo(base, 1, seed=1, workers=workers)
+
+
 def test_monte_carlo_is_deterministic_and_worker_independent():
     base = default_scenario("spin")
     one = monte_carlo(base, 4, seed=42, vary=("regolith",), workers=1)

@@ -8,11 +8,12 @@ closed loop
     sample environment -> disturbance torques -> mode controller ->
     actuator models -> RK4 over (q, omega)
 
-and returns decimated telemetry plus a :class:`RunResult` of extracted
-metrics.  Standalone modes (``detumble``/``nominal``/``spin``/``despin``/
-``safe``) hold their controller for the whole run; ``conops`` starts in
-de-tumble and runs the mode state machine with scheduled commands and
-automatic exits.
+and returns decimated telemetry plus a :class:`RunResult` of metrics.  The
+hold times and post-settle maxima are taken from the telemetry rows as they
+are recorded, so they see the run at the telemetry cadence.  Standalone modes
+(``detumble``/``nominal``/``spin``/``despin``/``safe``) hold their controller
+for the whole run; ``conops`` starts in de-tumble and runs the mode state
+machine with scheduled commands and automatic exits.
 
 Determinism: nothing in the loop draws random numbers, regolith sampling is
 seeded, and Monte Carlo derives per-run seeds from (master seed, run index),
@@ -69,9 +70,11 @@ from .quatmath import (
     Vec3,
     normalize_canonical,
     quat_from_euler,
+    quat_norm,
     quat_to_euler,
     rotate_orbit_to_body,
     visfinite,
+    vnorm,
 )
 from .rigidbody import (
     AttitudeState,
@@ -92,9 +95,6 @@ __all__ = [
     "assemble",
     "run_scenario",
     "run_scenario_metrics",
-    "detumble_time",
-    "settle_time",
-    "align_time",
     "monte_carlo",
     "default_scenario",
     "default_limits",
@@ -134,11 +134,11 @@ _SCHEDULE_COMMANDS = ("spin", "despin", "safe", "nominal")
 
 _ZERO_CMD = TorqueCommand(ZERO3, ZERO3, 0.0, False, False)
 
-# The hold time each mode is judged by (conops: back in nominal pointing).
-# Safe mode has none; it always counts as converged.
-_PRIMARY_METRIC = {"detumble": "detumble_time_s", "nominal": "align_time_s",
-                   "spin": "spin_settle_time_s", "despin": "despin_time_s",
-                   "conops": "align_time_s"}
+# The hold-time metrics, in the order _Metrics keeps them, and the index of
+# the one each mode is judged by (conops: back in nominal pointing).  Safe
+# mode has none; it always counts as converged.
+_HOLD_METRICS = ("detumble_time_s", "spin_settle_time_s", "despin_time_s", "align_time_s")
+_PRIMARY_METRIC = {"detumble": 0, "spin": 1, "despin": 2, "nominal": 3, "conops": 3}
 
 
 class DivergenceError(RuntimeError):
@@ -212,22 +212,24 @@ class Scenario:
         if not (self.dt_s > 0.0 and math.isfinite(self.dt_s)):
             raise ValueError(f"dt must be positive and finite, got {self.dt_s}")
         if self.duration_orbits is None:
-            if not (self.duration_s > 0.0):
-                raise ValueError(f"duration must be > 0, got {self.duration_s} s")
-        elif not (self.duration_orbits > 0.0):
-            raise ValueError(f"duration must be > 0, got {self.duration_orbits} orbits")
-        if not (self.env_update_every_s > 0.0):
-            raise ValueError("env_update_every_s must be > 0")
-        if self.telemetry_cadence_s is not None and not (self.telemetry_cadence_s > 0.0):
-            raise ValueError("telemetry_cadence_s must be > 0 when given")
+            if not (0.0 < self.duration_s < math.inf):
+                raise ValueError(f"duration must be > 0 and finite, got {self.duration_s} s")
+        elif not (0.0 < self.duration_orbits < math.inf):
+            raise ValueError(
+                f"duration must be > 0 and finite, got {self.duration_orbits} orbits")
+        if not (0.0 < self.env_update_every_s < math.inf):
+            raise ValueError("env_update_every_s must be > 0 and finite")
+        cadence = self.telemetry_cadence_s
+        if cadence is not None and not (0.0 < cadence < math.inf):
+            raise ValueError("telemetry_cadence_s must be > 0 and finite when given")
         if not (0.0 < self.settle_band < 1.0):
             raise ValueError(f"settle_band must be in (0, 1), got {self.settle_band}")
-        if not (self.align_tolerance_deg > 0.0):
-            raise ValueError("align_tolerance_deg must be > 0")
-        if not (self.spin_target_rpm > 0.0):
-            raise ValueError("spin_target_rpm must be > 0")
-        if not (self.min_principal_inertia_kgm2 > 0.0):
-            raise ValueError("min_principal_inertia_kgm2 must be > 0")
+        if not (0.0 < self.align_tolerance_deg < math.inf):
+            raise ValueError("align_tolerance_deg must be > 0 and finite")
+        if not (0.0 < self.spin_target_rpm < math.inf):
+            raise ValueError("spin_target_rpm must be > 0 and finite")
+        if not (0.0 < self.min_principal_inertia_kgm2 < math.inf):
+            raise ValueError("min_principal_inertia_kgm2 must be > 0 and finite")
         if self.schedule and self.mode != "conops":
             raise ValueError("a command schedule only makes sense in conops mode")
         for entry in self.schedule:
@@ -239,6 +241,15 @@ class Scenario:
                     f"unknown schedule command {cmd!r}; expected one of {_SCHEDULE_COMMANDS}")
         if not visfinite(self.omega0_radps):
             raise ValueError(f"omega0 must be finite, got {self.omega0_radps}")
+        for name, norm in (("q0", quat_norm(self.q0)), ("sun_inertial", vnorm(self.sun_inertial))):
+            if not (0.0 < norm < math.inf):
+                raise ValueError(f"{name} must be finite and nonzero, got {getattr(self, name)}")
+        if not math.isfinite(self.dipole_tilt_deg):
+            raise ValueError(f"dipole_tilt_deg must be finite, got {self.dipole_tilt_deg}")
+        if not (abs(self.wheel_momentum0_nms) <= self.limits.max_wheel_momentum_nms):
+            raise ValueError(
+                f"wheel_momentum0_nms must be within the wheel's momentum limit "
+                f"{self.limits.max_wheel_momentum_nms}, got {self.wheel_momentum0_nms}")
 
     def resolved_duration_s(self) -> float:
         """Run length in seconds (orbit-based durations use the scenario orbit)."""
@@ -404,6 +415,83 @@ def _speed(omega) -> float:
     return math.sqrt(omega[0] ** 2 + omega[1] ** 2 + omega[2] ** 2)
 
 
+class _Metrics:
+    """Hold times and post-settle maxima, updated one telemetry row at a time.
+
+    Each hold time is when its condition started to hold for the rest of the
+    record: 0.0 while the condition has never failed, None after a failing
+    row, and the time of the first passing row after the last failure.  The
+    conditions are |omega| below the de-tumble and de-spin exit thresholds,
+    omega_x within ``settle_band`` of the spin target (the transverse rates
+    are left out), and all three Euler angles within the align tolerance.
+
+    The post-settle maxima (|q_e|, |omega|, body-z half-cone angle) restart
+    whenever the mode's primary condition fails, so they cover exactly the
+    rows at or after its hold time: recorded times only increase.
+    """
+
+    __slots__ = ("detumble_radps", "despin_radps", "spin_radps", "spin_tol", "align_deg",
+                 "primary", "times", "max_qe", "max_speed", "max_cone")
+
+    def __init__(self, s: Scenario) -> None:
+        self.detumble_radps = s.thresholds.detumble_exit_radps
+        self.despin_radps = s.thresholds.despin_exit_radps
+        self.spin_radps = s.spin_target_rpm * RPM_TO_RADPS
+        self.spin_tol = s.settle_band * _speed((self.spin_radps, 0.0, 0.0))
+        self.align_deg = s.align_tolerance_deg
+        self.primary = _PRIMARY_METRIC.get(s.mode)
+        self.times: list[float | None] = [0.0, 0.0, 0.0, 0.0]
+        self.max_qe = self.max_speed = self.max_cone = 0.0
+
+    def add(self, row: tuple) -> None:
+        t = row[0]
+        speed = math.sqrt(row[5] ** 2 + row[6] ** 2 + row[7] ** 2)
+        times = self.times
+        if speed >= self.detumble_radps:
+            times[0] = None
+        elif times[0] is None:
+            times[0] = t
+        if abs(row[5] - self.spin_radps) > self.spin_tol:
+            times[1] = None
+        elif times[1] is None:
+            times[1] = t
+        if speed >= self.despin_radps:
+            times[2] = None
+        elif times[2] is None:
+            times[2] = t
+        if max(abs(row[8]), abs(row[9]), abs(row[10])) > self.align_deg:
+            times[3] = None
+        elif times[3] is None:
+            times[3] = t
+
+        if self.primary is not None and times[self.primary] is None:
+            self.max_qe = self.max_speed = self.max_cone = 0.0
+            return
+        q1, q2, q3 = row[2], row[3], row[4]
+        qe = math.sqrt(q1 ** 2 + q2 ** 2 + q3 ** 2)
+        if qe > self.max_qe:
+            self.max_qe = qe
+        if speed > self.max_speed:
+            self.max_speed = speed
+        # Angle between body z and orbit z: acos(R33), R33 = 1 - 2(q1^2 + q2^2).
+        r33 = 1.0 - 2.0 * (q1 ** 2 + q2 ** 2)
+        cone = math.degrees(math.acos(min(1.0, max(-1.0, r33))))
+        if cone > self.max_cone:
+            self.max_cone = cone
+
+    def hold_times(self) -> dict:
+        return dict(zip(_HOLD_METRICS, self.times))
+
+    def primary_time(self) -> float | None:
+        return 0.0 if self.primary is None else self.times[self.primary]
+
+    def post_settle(self) -> tuple:
+        """(max |q_e|, max |omega|, max cone deg); Nones while the primary fails."""
+        if self.primary_time() is None:
+            return None, None, None
+        return self.max_qe, self.max_speed, self.max_cone
+
+
 def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     """Propagate one scenario and extract its metrics.
 
@@ -455,16 +543,19 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     wheel_sat = 0
     max_hw = abs(state.wheel_momentum)
     max_tau_b = 0.0
+    metrics = _Metrics(s)
 
     def record(st: AttitudeState, c: TorqueCommand, m: Mode) -> None:
         roll, pitch, yaw = quat_to_euler(st.q)
-        rows.append((
+        row = (
             st.t, st.q[0], st.q[1], st.q[2], st.q[3],
             st.omega[0], st.omega[1], st.omega[2],
             roll, pitch, yaw,
             c.tau_m[0], c.tau_m[1], c.tau_m[2],
             c.tau_rw, st.wheel_momentum, m.value,
-        ))
+        )
+        rows.append(row)
+        metrics.add(row)
 
     for k in range(n_steps):
         if k % env_every == 0:
@@ -485,28 +576,26 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
                 mode = new_mode
                 transitions.append((state.t, mode.value))
 
-        hw = state.wheel_momentum
+        hw = hw_next = state.wheel_momentum
+        b_ctrl = (rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla)
+                  if physical else env.b_body_tesla)
         if mode is Mode.SAFE:
             cmd = _ZERO_CMD
-            hw_next = hw
-            b_ctrl = env.b_body_tesla
-        elif mode is Mode.SPIN or mode is Mode.DESPIN:
-            omega_d = spin_omega if mode is Mode.SPIN else ZERO3
-            err = error_state(state.q, q_d, state.omega, omega_d, multiplicative)
-            tau_rw_cmd, tau_m_des = spin_torques(err, gains)
-            ws = wheel_step(tau_rw_cmd, hw, limits, dt)
-            b_ctrl = (rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla)
-                      if physical else env.b_body_tesla)
-            mc = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
-            cmd = TorqueCommand(mc.tau_m, mc.dipole, ws.tau_applied,
-                                mc.magnetic_saturated, ws.saturated)
-            hw_next = ws.momentum
-        else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
-            err = error_state(state.q, q_d, state.omega, ZERO3, multiplicative)
-            b_ctrl = (rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla)
-                      if physical else env.b_body_tesla)
-            cmd = allocate_magnetorquer(pd_torque(err, gains), b_ctrl, limits, fidelity)
-            hw_next = hw
+        else:
+            spin = mode is Mode.SPIN
+            wheel = spin or mode is Mode.DESPIN
+            err = error_state(state.q, q_d, state.omega,
+                              spin_omega if spin else ZERO3, multiplicative)
+            if wheel:
+                tau_rw_cmd, tau_m_des = spin_torques(err, gains)
+            else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
+                tau_m_des = pd_torque(err, gains)
+            cmd = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
+            if wheel:
+                ws = wheel_step(tau_rw_cmd, hw, limits, dt)
+                cmd = TorqueCommand(cmd.tau_m, cmd.dipole, ws.tau_applied,
+                                    cmd.magnetic_saturated, ws.saturated)
+                hw_next = ws.momentum
 
         if cmd.magnetic_saturated:
             mag_sat += 1
@@ -568,26 +657,15 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         state = AttitudeState(nxt.q, nxt.omega, hw_next, state.t + dt)
 
     record(state, cmd, mode)
-    telemetry = Telemetry(rows)
 
-    # Metrics, from the recorded telemetry.
-    hold_times = {
-        "detumble_time_s": _rest_time(telemetry, thresholds.detumble_exit_radps),
-        "spin_settle_time_s": settle_time(telemetry, spin_omega, s.settle_band, component=0),
-        "despin_time_s": _rest_time(telemetry, thresholds.despin_exit_radps),
-        "align_time_s": align_time(telemetry, s.align_tolerance_deg),
-    }
+    hold_times = metrics.hold_times()
     detumble_s = hold_times["detumble_time_s"]
-    primary = 0.0 if s.mode == "safe" else hold_times[_PRIMARY_METRIC[s.mode]]
     if conops:  # back in nominal with tame rates, schedule fully issued
         converged = (mode is Mode.NOMINAL and sched_i == len(schedule)
                      and _speed(state.omega) < thresholds.detumble_exit_radps)
     else:
-        converged = primary is not None
-
-    max_qe = max_speed = max_cone = None
-    if primary is not None:
-        max_qe, max_speed, max_cone = _post_settle_stats(telemetry, primary)
+        converged = metrics.primary_time() is not None
+    max_qe, max_speed, max_cone = metrics.post_settle()
 
     result = RunResult(
         scenario_name=s.name,
@@ -614,98 +692,12 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         regolith_position_cm=asm.regolith_position_cm,
         transitions=tuple(transitions),
     )
-    return telemetry, result
+    return Telemetry(rows), result
 
 
 def run_scenario_metrics(s: Scenario) -> RunResult:
     """run_scenario without the telemetry; cheap to ship across processes."""
     return run_scenario(s)[1]
-
-
-def _hold_time(telemetry: Telemetry, outside) -> float | None:
-    """First recorded time after which ``outside(row)`` is never true again.
-
-    Returns 0.0 if no sample is outside, None if the final sample still is.
-    """
-    rows = telemetry.rows
-    last = None
-    for i, row in enumerate(rows):
-        if outside(row):
-            last = i
-    if last is None:
-        return 0.0
-    if last == len(rows) - 1:
-        return None
-    return rows[last + 1][0]
-
-
-def _rest_time(telemetry: Telemetry, threshold_radps: float) -> float | None:
-    """Time after which |omega| stays below the threshold (seconds)."""
-    return _hold_time(telemetry, lambda r: _speed(r[5:8]) >= threshold_radps)
-
-
-def detumble_time(telemetry: Telemetry, threshold_radps: float,
-                  orbit_period_s: float) -> float | None:
-    """De-tumble completion in orbits: when |omega| drops below the threshold
-    and stays there for the rest of the record; None if it never does."""
-    t = _rest_time(telemetry, threshold_radps)
-    return None if t is None else t / orbit_period_s
-
-
-def settle_time(telemetry: Telemetry, target_omega: Vec3, band: float,
-                floor_radps: float = 1e-3, component: int | None = None) -> float | None:
-    """Time after which the rates stay within ``band * |target|`` of the target.
-
-    A zero target falls back to the absolute ``floor_radps``.  With
-    ``component`` the comparison uses that single axis instead of the vector
-    norm (useful when coupling keeps the transverse axes honestly nonzero).
-    """
-    if not (0.0 < band < 1.0):
-        raise ValueError(f"band must be in (0, 1), got {band}")
-    target_norm = _speed(target_omega)
-    tol = band * target_norm if target_norm > 0.0 else floor_radps
-
-    if component is None:
-        def outside(r):
-            return _speed((r[5] - target_omega[0], r[6] - target_omega[1],
-                           r[7] - target_omega[2])) > tol
-    else:
-        i = 5 + component
-
-        def outside(r):
-            return abs(r[i] - target_omega[component]) > tol
-
-    return _hold_time(telemetry, outside)
-
-
-def align_time(telemetry: Telemetry, tolerance_deg: float = 5.0) -> float | None:
-    """Time after which all three Euler angles stay within the tolerance."""
-    return _hold_time(
-        telemetry, lambda r: max(abs(r[8]), abs(r[9]), abs(r[10])) > tolerance_deg)
-
-
-def _post_settle_stats(telemetry: Telemetry, t_from: float):
-    """(max |q_e|, max |omega|, max z half-cone angle deg) over t >= t_from."""
-    max_qe = max_speed = max_cone = 0.0
-    seen = False
-    for r in telemetry.rows:
-        if r[0] < t_from:
-            continue
-        seen = True
-        qe = math.sqrt(r[2] ** 2 + r[3] ** 2 + r[4] ** 2)
-        if qe > max_qe:
-            max_qe = qe
-        sp = _speed(r[5:8])
-        if sp > max_speed:
-            max_speed = sp
-        # Angle between body z and orbit z: acos(R33), R33 = 1 - 2(q1^2 + q2^2).
-        r33 = 1.0 - 2.0 * (r[2] ** 2 + r[3] ** 2)
-        cone = math.degrees(math.acos(min(1.0, max(-1.0, r33))))
-        if cone > max_cone:
-            max_cone = cone
-    if not seen:
-        return None, None, None
-    return max_qe, max_speed, max_cone
 
 
 # ---------------------------------------------------------------------------

@@ -166,27 +166,31 @@ def recentre(catalog: MassCatalog, r_g: Vec3) -> list[Vec3]:
     ]
 
 
-def _point_mass_inertia_columns(masses: np.ndarray, positions_m: np.ndarray) -> np.ndarray:
-    """Assemble J column-by-column from the angular-momentum map.
+def inertia_tensor(catalog: MassCatalog) -> np.ndarray:
+    """Inertia tensor about the CG, kg*m^2 (possibly singular -- see module doc).
 
     Column j is ``H(e_j) = sum_i r_i x m_i (e_j x r_i)``, i.e. the coefficient
-    of ``omega_j`` in each component of H.
+    of ``omega_j`` in each component of H, with both cross products written
+    out on plain floats.  Each off-diagonal entry keeps its own rounding
+    (``J[0][1]`` and ``J[1][0]`` may differ in the last bit), so the tensor is
+    not symmetrised here.
     """
-    J = np.empty((3, 3))
-    for j, e in enumerate(np.eye(3)):
-        h = np.zeros(3)
-        for m, r in zip(masses, positions_m):
-            h += np.cross(r, m * np.cross(e, r))
-        J[:, j] = h
-    return J
-
-
-def inertia_tensor(catalog: MassCatalog) -> np.ndarray:
-    """Inertia tensor about the CG, kg*m^2 (possibly singular -- see module doc)."""
     r_g = compute_cg(catalog)
-    rel = np.array(recentre(catalog, r_g)) * CM_TO_M
-    masses = np.array([c.mass_kg for c in catalog.all_components])
-    return _point_mass_inertia_columns(masses, rel)
+    xx = yx = zx = xy = yy = zy = xz = yz = zz = 0.0
+    for c, r in zip(catalog.all_components, recentre(catalog, r_g)):
+        m = c.mass_kg
+        x, y, z = r[0] * CM_TO_M, r[1] * CM_TO_M, r[2] * CM_TO_M
+        mx, my, mz = m * x, m * y, m * z
+        xx += y * my + z * mz
+        yx -= x * my
+        zx -= x * mz
+        xy -= y * mx
+        yy += z * mz + x * mx
+        zy -= y * mz
+        xz -= z * mx
+        yz -= z * my
+        zz += x * mx + y * my
+    return np.array([[xx, xy, xz], [yx, yy, yz], [zx, zy, zz]])
 
 
 @dataclass(frozen=True, slots=True)

@@ -242,13 +242,16 @@ def test_wheel_rejects_bad_dt():
         wheel_step(1e-3, 0.0, LIMITS, dt=0.0)
 
 
-@given(st.lists(st.floats(-2e-3, 2e-3), min_size=1, max_size=60))
+@given(st.floats(-LIMITS.max_wheel_momentum_nms, LIMITS.max_wheel_momentum_nms),
+       st.lists(st.floats(-2e-3, 2e-3), min_size=1, max_size=60))
 @settings(max_examples=60)
-def test_wheel_momentum_never_leaves_the_envelope(commands):
-    h = 0.0
+def test_wheel_momentum_never_leaves_the_envelope(h0, commands):
+    h = h0
     for cmd in commands:
-        h = wheel_step(cmd, h, LIMITS, dt=0.5).momentum
+        step = wheel_step(cmd, h, LIMITS, dt=0.5)
+        h = step.momentum
         assert abs(h) <= LIMITS.max_wheel_momentum_nms
+        assert abs(step.tau_applied) <= LIMITS.max_wheel_torque_nm
 
 
 # ------------------------------------------------------------- mode machine

@@ -11,25 +11,22 @@ from adcslab.harness import (
     TELEMETRY_COLUMNS,
     DivergenceError,
     Scenario,
-    Telemetry,
-    align_time,
+    _Metrics,
     assemble,
     default_limits,
     default_scenario,
-    detumble_time,
     monte_carlo,
     run_scenario,
     run_scenario_metrics,
-    settle_time,
 )
 from adcslab.massmodel import bundled_catalog, sample_regolith
-from adcslab.quatmath import RPM_TO_RADPS, Vec3, quat_from_euler, vnorm
+from adcslab.quatmath import RPM_TO_RADPS, Quat, Vec3, quat_from_euler, vnorm
 
 PERIOD = orbit_period(OrbitConfig())
 
 
-def _row(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0)):
-    return (t, 1.0, 0.0, 0.0, 0.0, *w, *euler,
+def _row(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0)):
+    return (t, *q, *w, *euler,
             0.0, 0.0, 0.0, 0.0, 0.0, "detumble")
 
 
@@ -55,6 +52,24 @@ def _row(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0)):
     dict(mode="conops", schedule=((-1.0, "spin"),)),
     dict(mode="conops", schedule=((10.0, "tumble"),)),
     dict(omega0_radps=Vec3(float("inf"), 0.0, 0.0)),
+    dict(mode="spin", wheel_momentum0_nms=1.0),         # past the momentum stop
+    dict(wheel_momentum0_nms=-0.011),
+    dict(wheel_momentum0_nms=float("nan")),
+    dict(q0=Quat(0.0, 0.0, 0.0, 0.0)),
+    dict(q0=Quat(float("nan"), 0.0, 0.0, 0.0)),
+    dict(q0=Quat(1.0, float("inf"), 0.0, 0.0)),
+    dict(sun_inertial=Vec3(0.0, 0.0, 0.0)),
+    dict(sun_inertial=Vec3(1.0, float("nan"), 0.0)),
+    dict(dipole_tilt_deg=float("nan")),
+    dict(dipole_tilt_deg=float("inf")),
+    dict(duration_s=float("inf")),
+    dict(duration_orbits=float("inf")),
+    dict(duration_orbits=float("nan")),
+    dict(env_update_every_s=float("inf")),
+    dict(telemetry_cadence_s=float("inf")),
+    dict(align_tolerance_deg=float("inf")),
+    dict(mode="spin", spin_target_rpm=float("inf")),
+    dict(min_principal_inertia_kgm2=float("inf")),
 ])
 def test_scenario_rejects_bad_inputs(bad):
     with pytest.raises(ValueError):
@@ -192,64 +207,85 @@ def test_run_result_is_json_serializable():
     assert blob["converged"] is True
 
 
-# ------------------------------------------------------------- metric helpers
+# ------------------------------------------------------------- metrics
+
+def _fed(rows, **scenario):
+    metrics = _Metrics(Scenario(**scenario))
+    for row in rows:
+        metrics.add(row)
+    return metrics
+
+
+W_SPIN = RPM_TO_RADPS  # the default 1 RPM spin target
+
 
 def test_detumble_time_finds_the_last_excursion():
-    tel = Telemetry([_row(0.0, w=(0.02, 0.0, 0.0)),
-                     _row(1.0, w=(0.015, 0.0, 0.0)),
-                     _row(2.0, w=(0.005, 0.0, 0.0)),
-                     _row(3.0, w=(0.004, 0.0, 0.0))])
-    assert detumble_time(tel, 0.01, PERIOD) == pytest.approx(2.0 / PERIOD)
+    m = _fed([_row(0.0, w=(0.02, 0.0, 0.0)),
+              _row(1.0, w=(0.015, 0.0, 0.0)),
+              _row(2.0, w=(0.005, 0.0, 0.0)),
+              _row(3.0, w=(0.004, 0.0, 0.0))])
+    assert m.hold_times()["detumble_time_s"] == 2.0
+    assert m.primary_time() == 2.0
 
 
 def test_detumble_time_none_until_it_holds():
-    tel = Telemetry([_row(0.0, w=(0.02, 0.0, 0.0)),
-                     _row(1.0, w=(0.005, 0.0, 0.0)),
-                     _row(2.0, w=(0.02, 0.0, 0.0))])
-    assert detumble_time(tel, 0.01, PERIOD) is None
+    m = _fed([_row(0.0, w=(0.02, 0.0, 0.0)),
+              _row(1.0, w=(0.005, 0.0, 0.0)),
+              _row(2.0, w=(0.02, 0.0, 0.0))])
+    assert m.hold_times()["detumble_time_s"] is None
+    assert m.post_settle() == (None, None, None)
 
 
 def test_detumble_time_zero_when_never_outside():
-    tel = Telemetry([_row(0.0, w=(0.001, 0.0, 0.0)), _row(1.0)])
-    assert detumble_time(tel, 0.01, PERIOD) == 0.0
+    m = _fed([_row(0.0, w=(0.001, 0.0, 0.0)), _row(1.0)])
+    assert m.hold_times()["detumble_time_s"] == 0.0
 
 
 def test_settle_time_tracks_a_spin_target():
-    target = Vec3(0.1, 0.0, 0.0)
-    tel = Telemetry([_row(0.0, w=(0.0, 0.0, 0.0)),
-                     _row(1.0, w=(0.09, 0.0, 0.0)),
-                     _row(2.0, w=(0.0999, 0.0, 0.0)),
-                     _row(3.0, w=(0.1001, 0.0, 0.0))])
-    assert settle_time(tel, target, band=0.01) == pytest.approx(2.0)
+    m = _fed([_row(0.0, w=(0.0, 0.0, 0.0)),
+              _row(1.0, w=(0.9 * W_SPIN, 0.0, 0.0)),
+              _row(2.0, w=(0.999 * W_SPIN, 0.0, 0.0)),
+              _row(3.0, w=(1.001 * W_SPIN, 0.0, 0.0))], mode="spin", settle_band=0.01)
+    assert m.hold_times()["spin_settle_time_s"] == 2.0
 
 
 def test_settle_time_single_axis_ignores_transverse_motion():
-    target = Vec3(0.1, 0.0, 0.0)
-    tel = Telemetry([_row(0.0, w=(0.0, 0.05, 0.0)),
-                     _row(1.0, w=(0.0999, 0.05, 0.0)),
-                     _row(2.0, w=(0.1, 0.05, 0.0))])
-    assert settle_time(tel, target, band=0.01) is None          # norm view
-    assert settle_time(tel, target, band=0.01, component=0) == pytest.approx(1.0)
-
-
-def test_settle_time_zero_target_uses_the_floor():
-    tel = Telemetry([_row(0.0, w=(0.01, 0.0, 0.0)),
-                     _row(1.0, w=(5e-4, 0.0, 0.0))])
-    assert settle_time(tel, Vec3(0.0, 0.0, 0.0), band=0.05, floor_radps=1e-3) == 1.0
-
-
-def test_settle_time_band_must_be_a_fraction():
-    tel = Telemetry([_row(0.0)])
-    with pytest.raises(ValueError):
-        settle_time(tel, Vec3(0.1, 0.0, 0.0), band=0.0)
+    m = _fed([_row(0.0, w=(0.0, 0.05, 0.0)),
+              _row(1.0, w=(0.999 * W_SPIN, 0.05, 0.0)),
+              _row(2.0, w=(W_SPIN, 0.05, 0.0))], mode="spin", settle_band=0.01)
+    assert m.hold_times()["spin_settle_time_s"] == 1.0
 
 
 def test_align_time_watches_all_three_angles():
-    tel = Telemetry([_row(0.0, euler=(20.0, 0.0, 0.0)),
-                     _row(1.0, euler=(2.0, -6.0, 0.0)),
-                     _row(2.0, euler=(2.0, -2.0, 1.0)),
-                     _row(3.0, euler=(0.5, 0.5, 0.5))])
-    assert align_time(tel, tolerance_deg=5.0) == pytest.approx(2.0)
+    m = _fed([_row(0.0, euler=(20.0, 0.0, 0.0)),
+              _row(1.0, euler=(2.0, -6.0, 0.0)),
+              _row(2.0, euler=(2.0, -2.0, 1.0)),
+              _row(3.0, euler=(0.5, 0.5, 5.5)),
+              _row(4.0, euler=(0.5, 0.5, 0.5))], mode="nominal", align_tolerance_deg=5.0)
+    assert m.hold_times()["align_time_s"] == 4.0
+
+
+def test_a_late_excursion_restarts_the_post_settle_maxima():
+    q_far = (0.8, 0.6, 0.0, 0.0)                    # |q_e| 0.6, body z 73.7 deg off
+    q_near = (math.sqrt(1.0 - 0.01 - 0.0004), 0.1, 0.02, 0.0)
+    rows = [_row(0.0, w=(0.02, 0.0, 0.0)),
+            _row(1.0, w=(0.008, 0.0, 0.0), q=q_far),   # holds, then is undone
+            _row(2.0, w=(0.03, 0.0, 0.0)),
+            _row(3.0, w=(0.004, 0.0, 0.0), q=q_near),
+            _row(4.0, w=(0.003, 0.0, 0.0))]
+    m = _fed(rows)
+    assert m.primary_time() == 3.0
+    max_qe, max_speed, max_cone = m.post_settle()
+    assert max_qe == pytest.approx(math.sqrt(0.01 + 0.0004), rel=1e-12)
+    assert max_speed == pytest.approx(0.004, rel=1e-12)
+    r33 = 1.0 - 2.0 * (0.1 ** 2 + 0.02 ** 2)
+    assert max_cone == pytest.approx(math.degrees(math.acos(r33)), rel=1e-12)
+
+
+def test_safe_mode_maxima_cover_every_row():
+    m = _fed([_row(0.0, w=(0.5, 0.0, 0.0)), _row(1.0, w=(0.1, 0.0, 0.0))], mode="safe")
+    assert m.primary_time() == 0.0
+    assert m.post_settle()[1] == 0.5
 
 
 # ------------------------------------------------------------- Monte Carlo

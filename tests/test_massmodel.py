@@ -136,6 +136,30 @@ def test_inertia_translation_invariance(cat, shift):
     assert np.abs(a - b).max() <= 1e-9 * scale
 
 
+def _cross_product_columns(cat):
+    """Column j = sum_i r_i x m_i (e_j x r_i), through numpy's cross product."""
+    rel = np.array(recentre(cat, compute_cg(cat))) * 0.01
+    J = np.empty((3, 3))
+    for j, e in enumerate(np.eye(3)):
+        h = np.zeros(3)
+        for c, r in zip(cat.all_components, rel):
+            h += np.cross(r, c.mass_kg * np.cross(e, r))
+        J[:, j] = h
+    return J
+
+
+@st.composite
+def placed_flight_catalogs(draw):
+    cat = bundled_catalog()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cat.with_regolith_at(sample_regolith(cat.chamber, rng))
+
+
+@given(st.one_of(random_catalogs(), placed_flight_catalogs()))
+def test_inertia_equals_the_cross_product_map_bit_for_bit(cat):
+    assert inertia_tensor(cat).tobytes() == _cross_product_columns(cat).tobytes()
+
+
 @given(random_catalogs())
 def test_inertia_is_symmetric_psd(cat):
     J = inertia_tensor(cat)

@@ -161,7 +161,6 @@ _KEYS = {
         "fidelity": ("fidelity", _fidelity),
         "schedule": ("schedule", _schedule),
         "spin_target_rpm": ("spin_target_rpm", _number),
-        "multiplicative_error": ("multiplicative_error", _boolean),
     },
     "sim": {
         "name": ("name", _string),

@@ -13,9 +13,7 @@ The controller family is deliberately simple and gain-driven:
       tau_rw = -K1 * omega_e.x        tau_m = -K2 * (0, omega_e.y, omega_e.z)
 
 The quaternion error is the literal vector-part difference
-``vec(q) - vec(q_d)`` of sign-canonicalized quaternions.  A multiplicative
-error option (vector part of ``q (x) conj(q_d)``) exists behind a flag for
-comparison and is off by default.
+``vec(q) - vec(q_d)`` of sign-canonicalized quaternions.
 
 Magnetorquer allocation runs at two fidelities: IDEAL treats the commanded
 torque as directly realizable up to a per-axis clamp; PHYSICAL converts it to
@@ -31,14 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .quatmath import (
-    Quat,
-    Vec3,
-    canonical_sign,
-    quat_conjugate,
-    quat_multiply,
-    visfinite,
-)
+from .quatmath import Quat, Vec3, visfinite
 
 __all__ = [
     "Gains",
@@ -149,22 +140,17 @@ class ModeThresholds:
     despin_exit_radps: float = 1e-3
 
 
-def error_state(q: Quat, q_d: Quat, omega: Vec3, omega_d: Vec3,
-                multiplicative: bool = False) -> ErrorState:
+def error_state(q: Quat, q_d: Quat, omega: Vec3, omega_d: Vec3) -> ErrorState:
     """Error quaternion vector part and rate error.
 
-    Both quaternions are expected sign-canonicalized (q0 >= 0); the default
-    error is the plain component difference of the vector parts, which for
-    small errors agrees with the multiplicative error to first order.
+    Both quaternions are expected sign-canonicalized (q0 >= 0); the error is
+    the plain component difference of the vector parts, which for small
+    errors agrees with the vector part of ``q (x) conj(q_d)`` to first order.
     """
-    if multiplicative:
-        dq = canonical_sign(quat_multiply(q, quat_conjugate(q_d)))
-        q_e = Vec3(dq[1], dq[2], dq[3])
-    else:
-        q_e = Vec3(q[1] - q_d[1], q[2] - q_d[2], q[3] - q_d[3])
-    return ErrorState(q_e, Vec3(omega[0] - omega_d[0],
-                                omega[1] - omega_d[1],
-                                omega[2] - omega_d[2]))
+    return ErrorState(Vec3(q[1] - q_d[1], q[2] - q_d[2], q[3] - q_d[3]),
+                      Vec3(omega[0] - omega_d[0],
+                           omega[1] - omega_d[1],
+                           omega[2] - omega_d[2]))
 
 
 def pd_torque(err: ErrorState, gains: Gains) -> Vec3:

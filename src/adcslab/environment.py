@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .quatmath import Quat, Vec3, rotate_orbit_to_body, vcross, vdot, vnorm, vunit
 from .rigidbody import InertiaTensor
 
@@ -41,7 +39,6 @@ __all__ = [
     "orbit_period",
     "propagate_orbit",
     "magnetic_field",
-    "sun_direction",
     "atmospheric_density",
     "drag_torque",
     "srp_torque",
@@ -108,9 +105,9 @@ def constants() -> EnvironmentConstants:
     return _CONSTANTS
 
 
-def atmospheric_density(altitude_km: float, table: AtmosphereTable | None = None) -> float:
+def atmospheric_density(altitude_km: float) -> float:
     """Atmospheric density (kg/m^3) from the bundled piecewise-exponential table."""
-    return (table or _ATMOSPHERE).density(altitude_km)
+    return _ATMOSPHERE.density(altitude_km)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +205,6 @@ def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
 def magnetic_field(
     orbit: OrbitState,
     tilt_deg: float = _CONSTANTS.default_dipole_tilt_deg,
-    b0_tesla: float = _CONSTANTS.dipole_b0_tesla,
     earth_radius_m: float = _CONSTANTS.earth_radius_m,
 ) -> Vec3:
     """Tilted centered-dipole geomagnetic field at the orbit position, inertial frame.
@@ -219,27 +215,13 @@ def magnetic_field(
     tilt = math.radians(tilt_deg)
     m_hat = Vec3(math.sin(tilt), 0.0, math.cos(tilt))
     r_hat = vunit(orbit.position_m)
-    scale = b0_tesla * (earth_radius_m / orbit.radius_m) ** 3
+    scale = _CONSTANTS.dipole_b0_tesla * (earth_radius_m / orbit.radius_m) ** 3
     mr = vdot(m_hat, r_hat)
     return Vec3(
         scale * (3.0 * mr * r_hat[0] - m_hat[0]),
         scale * (3.0 * mr * r_hat[1] - m_hat[1]),
         scale * (3.0 * mr * r_hat[2] - m_hat[2]),
     )
-
-
-def sun_direction(
-    t: float,
-    cfg: OrbitConfig,
-    sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0),
-) -> tuple[Vec3, bool]:
-    """Unit vector toward the sun (inertial) and the cylindrical-shadow eclipse flag.
-
-    The spacecraft is in eclipse when it is on the anti-sun side of the Earth
-    and its position projects inside the Earth-radius shadow cylinder.
-    """
-    s_hat = vunit(sun_inertial)
-    return s_hat, _in_eclipse(propagate_orbit(cfg, t).position_m, s_hat, cfg.earth_radius_m)
 
 
 def _in_eclipse(r: Vec3, s_hat: Vec3, earth_radius_m: float) -> bool:
@@ -386,13 +368,10 @@ def srp_torque(geometry: SpacecraftGeometry, env: EnvironmentSample, cg_m: Vec3)
     return Vec3(tx, ty, tz)
 
 
-def gravity_gradient_torque(J, r_body_m: Vec3, mu_m3s2: float = _CONSTANTS.mu_m3s2) -> Vec3:
+def gravity_gradient_torque(J: InertiaTensor, r_body_m: Vec3,
+                            mu_m3s2: float = _CONSTANTS.mu_m3s2) -> Vec3:
     """Gravity-gradient torque ``3 mu / |r|^5 * (r x J r)`` in the body frame."""
-    if isinstance(J, InertiaTensor):
-        jr = J.dot(r_body_m)
-    else:
-        m = np.asarray(J, dtype=float)
-        jr = Vec3(*(m @ np.asarray(r_body_m)))
+    jr = J.dot(r_body_m)
     r = vnorm(r_body_m)
     scale = 3.0 * mu_m3s2 / r**5
     c = vcross(r_body_m, jr)
@@ -402,7 +381,7 @@ def gravity_gradient_torque(J, r_body_m: Vec3, mu_m3s2: float = _CONSTANTS.mu_m3
 def total_disturbance(
     geometry: SpacecraftGeometry,
     env: EnvironmentSample,
-    J,
+    J: InertiaTensor,
     cg_m: Vec3,
     mu_m3s2: float = _CONSTANTS.mu_m3s2,
     include: tuple[bool, bool, bool] = (True, True, True),
@@ -453,7 +432,6 @@ def orbit_frame_sample(
     t: float,
     sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0),
     dipole_tilt_deg: float = _CONSTANTS.default_dipole_tilt_deg,
-    table: AtmosphereTable | None = None,
 ) -> OrbitFrameSample:
     """Attitude-independent environment snapshot at time ``t``, orbit frame."""
     orbit = propagate_orbit(cfg, t)
@@ -464,7 +442,7 @@ def orbit_frame_sample(
         b_orbit_tesla=b_orbit,
         sun_orbit=orbit.to_orbit_frame(s_hat),
         in_eclipse=_in_eclipse(orbit.position_m, s_hat, cfg.earth_radius_m),
-        density_kgm3=atmospheric_density(cfg.altitude_km, table),
+        density_kgm3=atmospheric_density(cfg.altitude_km),
         v_orbit_mps=Vec3(orbit.speed_mps, 0.0, 0.0),  # x is along velocity by construction
         r_orbit_m=Vec3(0.0, 0.0, -orbit.radius_m),    # z points toward the Earth's center
     )

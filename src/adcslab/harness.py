@@ -142,12 +142,13 @@ _PRIMARY_METRIC = {"detumble": 0, "spin": 1, "despin": 2, "nominal": 3, "conops"
 
 
 class DivergenceError(RuntimeError):
-    """The propagated state left the finite domain mid-run."""
+    """The propagated state left the finite domain mid-run, in ``mode``."""
 
-    def __init__(self, step: int, t: float, detail: str) -> None:
+    def __init__(self, step: int, t: float, mode: str, detail: str) -> None:
         super().__init__(f"state diverged at step {step} (t={t:.6g} s): {detail}")
         self.step = step
         self.t = t
+        self.mode = mode
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,6 @@ class Scenario:
     fidelity: Fidelity = Fidelity.IDEAL
     thresholds: ModeThresholds = ModeThresholds()
     spin_target_rpm: float = 1.0
-    multiplicative_error: bool = False
     schedule: tuple[tuple[float, str], ...] = ()
     # initial state
     q0: Quat = IDENTITY
@@ -220,8 +220,14 @@ class Scenario:
         if not (0.0 < self.env_update_every_s < math.inf):
             raise ValueError("env_update_every_s must be > 0 and finite")
         cadence = self.telemetry_cadence_s
-        if cadence is not None and not (0.0 < cadence < math.inf):
-            raise ValueError("telemetry_cadence_s must be > 0 and finite when given")
+        if cadence is not None:
+            if not (0.0 < cadence < math.inf):
+                raise ValueError("telemetry_cadence_s must be > 0 and finite when given")
+            steps = cadence / self.dt_s
+            n = round(steps) if steps < math.inf else 0
+            if n < 1 or abs(steps - n) > 1e-9 * steps:
+                raise ValueError(f"telemetry_cadence_s={cadence} must be a whole "
+                                 f"multiple of dt={self.dt_s} s")
         if not (0.0 < self.settle_band < 1.0):
             raise ValueError(f"settle_band must be in (0, 1), got {self.settle_band}")
         if not (0.0 < self.align_tolerance_deg < math.inf):
@@ -250,6 +256,7 @@ class Scenario:
             raise ValueError(
                 f"wheel_momentum0_nms must be within the wheel's momentum limit "
                 f"{self.limits.max_wheel_momentum_nms}, got {self.wheel_momentum0_nms}")
+        self.resolved_duration_s()
 
     def resolved_duration_s(self) -> float:
         """Run length in seconds (orbit-based durations use the scenario orbit)."""
@@ -513,7 +520,6 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     gains, limits, thresholds = s.gains, s.limits, s.thresholds
     fidelity = s.fidelity
     physical = fidelity is Fidelity.PHYSICAL
-    multiplicative = s.multiplicative_error
     include = (s.enable_drag, s.enable_srp, s.enable_gravity_gradient)
     any_disturbance = any(include)
     mu = cfg.mu_m3s2
@@ -584,8 +590,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         else:
             spin = mode is Mode.SPIN
             wheel = spin or mode is Mode.DESPIN
-            err = error_state(state.q, q_d, state.omega,
-                              spin_omega if spin else ZERO3, multiplicative)
+            err = error_state(state.q, q_d, state.omega, spin_omega if spin else ZERO3)
             if wheel:
                 tau_rw_cmd, tau_m_des = spin_torques(err, gains)
             else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
@@ -653,7 +658,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         try:
             nxt = propagate(state, J, Vec3(tx, ty, tz), dt, n_sub)
         except NonFiniteStateError as exc:
-            raise DivergenceError(k, state.t, str(exc)) from exc
+            raise DivergenceError(k, state.t, mode.value, str(exc)) from exc
         state = AttitudeState(nxt.q, nxt.omega, hw_next, state.t + dt)
 
     record(state, cmd, mode)
@@ -730,11 +735,12 @@ def _mc_scenario(base: Scenario, master_seed: int, index: int,
     return replace(base, **updates)
 
 
-def _failed_result(s: Scenario, exc: Exception) -> RunResult:
+def _failed_result(s: Scenario, exc: DivergenceError) -> RunResult:
+    """A diverged run: the mode it was in and the step it reached; no metrics."""
     return RunResult(
-        scenario_name=s.name, mode=s.mode, final_mode="safe", converged=False,
-        orbit_period_s=orbit_period(s.orbit), duration_s=0.0, dt_s=s.dt_s,
-        steps=0, detumble_time_s=None, detumble_time_orbits=None,
+        scenario_name=s.name, mode=s.mode, final_mode=exc.mode, converged=False,
+        orbit_period_s=orbit_period(s.orbit), duration_s=s.resolved_duration_s(),
+        dt_s=s.dt_s, steps=exc.step, detumble_time_s=None, detumble_time_orbits=None,
         spin_settle_time_s=None, despin_time_s=None, align_time_s=None,
         final_q=IDENTITY, final_omega_radps=ZERO3, final_speed_radps=0.0,
         final_wheel_momentum_nms=0.0, max_qe_post_settle=None,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -49,7 +50,6 @@ __all__ = [
     "corner_envelope",
     "sample_regolith",
     "apply_inertia_floor",
-    "artificial_gravity",
     "read_json_object",
     "load_catalog",
     "bundled_catalog",
@@ -234,10 +234,9 @@ class CornerEnvelope:
     corners: tuple[tuple[Vec3, MassProperties], ...]
 
 
-def corner_envelope(catalog: MassCatalog, chamber: ChamberBounds | None = None) -> CornerEnvelope:
-    chamber = chamber or catalog.chamber
+def corner_envelope(catalog: MassCatalog) -> CornerEnvelope:
     results = []
-    for corner in chamber.corners():
+    for corner in catalog.chamber.corners():
         props = mass_properties(catalog.with_regolith_at(corner), warn_degenerate=False)
         results.append((corner, props))
     cgs = np.array([p.cg_cm for _, p in results])
@@ -274,13 +273,6 @@ def apply_inertia_floor(J: np.ndarray, floor_kgm2: float) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh(sym)
     clamped = np.maximum(eigvals, floor_kgm2)
     return eigvecs @ np.diag(clamped) @ eigvecs.T
-
-
-def artificial_gravity(radius_m: float, omega_radps: float) -> float:
-    """Centripetal acceleration ``a = r * omega^2`` at radius r from the spin axis."""
-    if radius_m < 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius_m}")
-    return radius_m * omega_radps * omega_radps
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +355,12 @@ def load_catalog(path) -> MassCatalog:
                              name=str(path))
 
 
+@cache
 def bundled_catalog() -> MassCatalog:
-    """The flight mass catalog shipped with the package (regolith stowed)."""
+    """The flight mass catalog shipped with the package (regolith stowed).
+
+    Parsed once per process; the catalog is frozen and holds only tuples, so
+    every caller can share it.
+    """
     text = resources.files("adcslab.data").joinpath("aosat1_mass_catalog.json").read_text("utf-8")
     return catalog_from_dict(json.loads(text), name="bundled:aosat1")

@@ -9,8 +9,10 @@ Conventions
 
       v_orbit = R(q) @ v_body        v_body = R(q).T @ v_orbit
 
-  and the kinematics ``qdot = 0.5 * Omega(omega) * q`` below take ``omega``
-  as the body-frame angular rate of the body relative to the orbit frame.
+  The kinematics ``qdot = 0.5 * Omega(omega) * q`` take ``omega`` as the
+  body-frame angular rate of the body relative to the orbit frame.  They are
+  written out inside :func:`adcslab.rigidbody.propagate`, the integrator;
+  their reference form is ``quat_derivative`` in ``tests/oracles.py``.
 * Canonical sign: ``q0 >= 0``; when ``q0 == 0`` exactly, the first nonzero
   component among ``(q1, q2, q3)`` is kept positive.  ``q`` and ``-q`` encode
   the same rotation, so this only fixes a deterministic representative.
@@ -55,10 +57,6 @@ class ZeroQuaternionError(ValueError):
 # ---------------------------------------------------------------------------
 # Vec3 helpers
 # ---------------------------------------------------------------------------
-
-def vsub(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
 
 def vdot(a: Vec3, b: Vec3) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -123,46 +121,6 @@ def normalize_canonical(q: Quat) -> Quat:
     return canonical_sign(Quat(q[0] / n, q[1] / n, q[2] / n, q[3] / n))
 
 
-def quat_multiply(a: Quat, b: Quat) -> Quat:
-    """Hamilton product ``a (x) b``."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return Quat(
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    )
-
-
-def quat_conjugate(q: Quat) -> Quat:
-    return Quat(q[0], -q[1], -q[2], -q[3])
-
-
-def quat_from_axis_angle(axis: Vec3, angle_rad: float) -> Quat:
-    u = vunit(axis)
-    h = 0.5 * angle_rad
-    s = math.sin(h)
-    return Quat(math.cos(h), u[0] * s, u[1] * s, u[2] * s)
-
-
-def rotate_body_to_orbit(q: Quat, v: Vec3) -> Vec3:
-    """Apply ``R(q)``: express a body-frame vector in the orbit frame."""
-    q0, q1, q2, q3 = q
-    vx, vy, vz = v
-    return Vec3(
-        (1.0 - 2.0 * (q2 * q2 + q3 * q3)) * vx
-        + 2.0 * (q1 * q2 - q0 * q3) * vy
-        + 2.0 * (q1 * q3 + q0 * q2) * vz,
-        2.0 * (q1 * q2 + q0 * q3) * vx
-        + (1.0 - 2.0 * (q1 * q1 + q3 * q3)) * vy
-        + 2.0 * (q2 * q3 - q0 * q1) * vz,
-        2.0 * (q1 * q3 - q0 * q2) * vx
-        + 2.0 * (q2 * q3 + q0 * q1) * vy
-        + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * vz,
-    )
-
-
 def rotate_orbit_to_body(q: Quat, v: Vec3) -> Vec3:
     """Apply ``R(q).T``: express an orbit-frame vector in the body frame."""
     q0, q1, q2, q3 = q
@@ -177,22 +135,6 @@ def rotate_orbit_to_body(q: Quat, v: Vec3) -> Vec3:
         2.0 * (q1 * q3 + q0 * q2) * vx
         + 2.0 * (q2 * q3 - q0 * q1) * vy
         + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * vz,
-    )
-
-
-def quat_derivative(q: Quat, omega: Vec3) -> tuple[float, float, float, float]:
-    """Attitude kinematics ``qdot = 0.5 * Omega(omega) * q``.
-
-    ``Omega`` is the standard scalar-first skew form whose first row is
-    ``(0, -wx, -wy, -wz)``; the derivative is exactly orthogonal to ``q``.
-    """
-    q0, q1, q2, q3 = q
-    wx, wy, wz = omega
-    return (
-        0.5 * (-wx * q1 - wy * q2 - wz * q3),
-        0.5 * (wx * q0 + wz * q2 - wy * q3),
-        0.5 * (wy * q0 - wz * q1 + wx * q3),
-        0.5 * (wz * q0 + wy * q1 - wx * q2),
     )
 
 

@@ -6,45 +6,35 @@ inverse inertia applied to the whole torque balance::
 
     omega_dot = J^-1 * ( -omega x (J omega) + tau_control + tau_disturbance )
 
-and the quaternion kinematics of :func:`adcslab.quatmath.quat_derivative`.
-Integration is classical fixed-step RK4 over the combined state; the
-quaternion is renormalized and sign-canonicalized after every step, which
-keeps the norm at machine precision without touching the rate dynamics.
+and the quaternion kinematics ``qdot = 0.5 * Omega(omega) * q`` (see
+:mod:`adcslab.quatmath`).  Integration is classical fixed-step RK4 over the
+combined state; the quaternion is renormalized and sign-canonicalized after
+every substep, which keeps the norm at machine precision without touching the
+rate dynamics.
 
-Two forms of the same integrator live here.  :func:`rk4_step` takes any
-:data:`Dynamics` callable and is the reference.  :func:`propagate` is the
-fused kernel the simulation loop calls: it runs a whole control period of
-RK4 substeps under a constant torque on plain local floats, and its result
-is bit-for-bit that of ``n_sub`` calls of :func:`rk4_step` on
-:func:`make_rigid_body_dynamics` -- the same arithmetic in the same order,
-the same renormalization, sign flip and errors -- without building the
-intermediate named tuples and closure calls that dominate the reference's
-cost.  A change to the dynamics must be made in both, and the property test
-that compares them exactly keeps them together.
+:func:`propagate` is the package's one integrator: it runs a whole control
+period of RK4 substeps under a constant torque on plain local floats.  Its
+reference, a textbook RK4 step on a dynamics closure, lives with the tests in
+``tests/oracles.py``; a property test there holds the two equal bit for bit,
+so a change to the dynamics must be made in both.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .quatmath import Quat, Vec3, ZeroQuaternionError, normalize_canonical, quat_derivative
+from .quatmath import Quat, Vec3
 
 __all__ = [
     "AttitudeState",
     "InertiaTensor",
     "SingularInertiaError",
     "NonFiniteStateError",
-    "rk4_step",
-    "make_rigid_body_dynamics",
-    "free_rotation",
     "propagate",
 ]
-
-_Rates = tuple[tuple[float, float, float, float], Vec3]
-Dynamics = Callable[["AttitudeState"], _Rates]
 
 
 class SingularInertiaError(ValueError):
@@ -126,123 +116,21 @@ class InertiaTensor:
         return f"InertiaTensor({self._m.tolist()})"
 
 
-def make_rigid_body_dynamics(J: InertiaTensor, torque: Vec3) -> Dynamics:
-    """Dynamics closure for a constant body-frame torque over one step.
-
-    The control loop recomputes the torque once per step (zero-order hold),
-    so within a step the torque is constant and the closure only evaluates
-    the gyroscopic term and the kinematics.
-    """
-    (a, b, c), (d, e, f), (g, h, i) = J.rows
-    (p, qq, r), (s, t, u), (v, w, x) = J.inverse_rows
-    tx, ty, tz = torque
-
-    def dynamics(state: AttitudeState) -> _Rates:
-        wx, wy, wz = state.omega
-        hx = a * wx + b * wy + c * wz
-        hy = d * wx + e * wy + f * wz
-        hz = g * wx + h * wy + i * wz
-        gx = tx - (wy * hz - wz * hy)
-        gy = ty - (wz * hx - wx * hz)
-        gz = tz - (wx * hy - wy * hx)
-        return (
-            quat_derivative(state.q, state.omega),
-            Vec3(p * gx + qq * gy + r * gz,
-                 s * gx + t * gy + u * gz,
-                 v * gx + w * gy + x * gz),
-        )
-
-    return dynamics
-
-
-def free_rotation(J: InertiaTensor) -> Dynamics:
-    """Torque-free dynamics; conserves energy and momentum up to RK4 error."""
-    return make_rigid_body_dynamics(J, Vec3(0.0, 0.0, 0.0))
-
-
-def rk4_step(state: AttitudeState, dynamics: Dynamics, dt: float) -> AttitudeState:
-    """One classical RK4 step of the combined (q, omega) state.
-
-    The returned quaternion is renormalized and sign-canonicalized; wheel
-    momentum is carried through untouched (the actuator model owns it).
-
-    Raises:
-        ValueError: on a non-positive ``dt``.
-        NonFiniteStateError: if any component leaves the finite domain.
-    """
-    if not (dt > 0.0) or not math.isfinite(dt):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    q0, q1, q2, q3 = state.q
-    wx, wy, wz = state.omega
-    t = state.t
-    half = 0.5 * dt
-
-    k1q, k1w = dynamics(state)
-    s2 = AttitudeState(
-        Quat(q0 + half * k1q[0], q1 + half * k1q[1],
-             q2 + half * k1q[2], q3 + half * k1q[3]),
-        Vec3(wx + half * k1w[0], wy + half * k1w[1], wz + half * k1w[2]),
-        state.wheel_momentum, t + half)
-    k2q, k2w = dynamics(s2)
-    s3 = AttitudeState(
-        Quat(q0 + half * k2q[0], q1 + half * k2q[1],
-             q2 + half * k2q[2], q3 + half * k2q[3]),
-        Vec3(wx + half * k2w[0], wy + half * k2w[1], wz + half * k2w[2]),
-        state.wheel_momentum, t + half)
-    k3q, k3w = dynamics(s3)
-    s4 = AttitudeState(
-        Quat(q0 + dt * k3q[0], q1 + dt * k3q[1],
-             q2 + dt * k3q[2], q3 + dt * k3q[3]),
-        Vec3(wx + dt * k3w[0], wy + dt * k3w[1], wz + dt * k3w[2]),
-        state.wheel_momentum, t + dt)
-    k4q, k4w = dynamics(s4)
-
-    sixth = dt / 6.0
-    qn = Quat(
-        q0 + sixth * (k1q[0] + 2.0 * (k2q[0] + k3q[0]) + k4q[0]),
-        q1 + sixth * (k1q[1] + 2.0 * (k2q[1] + k3q[1]) + k4q[1]),
-        q2 + sixth * (k1q[2] + 2.0 * (k2q[2] + k3q[2]) + k4q[2]),
-        q3 + sixth * (k1q[3] + 2.0 * (k2q[3] + k3q[3]) + k4q[3]),
-    )
-    wn = Vec3(
-        wx + sixth * (k1w[0] + 2.0 * (k2w[0] + k3w[0]) + k4w[0]),
-        wy + sixth * (k1w[1] + 2.0 * (k2w[1] + k3w[1]) + k4w[1]),
-        wz + sixth * (k1w[2] + 2.0 * (k2w[2] + k3w[2]) + k4w[2]),
-    )
-    probe = qn[0] + qn[1] + qn[2] + qn[3] + wn[0] + wn[1] + wn[2]
-    if not math.isfinite(probe):
-        raise NonFiniteStateError(
-            f"non-finite state after step at t={t:.6g}s (dt={dt:g}); "
-            "dt is probably too large for the current rates"
-        )
-    try:
-        q_unit = normalize_canonical(qn)
-    except ZeroQuaternionError as exc:
-        # Components can stay individually finite while the squared norm
-        # overflows; that's the same runaway, reported the same way.
-        raise NonFiniteStateError(
-            f"quaternion norm left the finite domain at t={t:.6g}s (dt={dt:g})"
-        ) from exc
-    return AttitudeState(q_unit, wn, state.wheel_momentum, t + dt)
-
-
 def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
               n_sub: int = 1) -> AttitudeState:
     """Integrate over ``dt`` with ``n_sub`` equal RK4 substeps, fused.
 
-    Bit-for-bit the same as ``n_sub`` calls of
-    ``rk4_step(..., make_rigid_body_dynamics(J, torque), dt / n_sub)``: the
-    arithmetic runs in the same order, on plain local floats, with the
-    renormalization and canonical sign flip after every substep, and no
-    tuple is built until the end.  This is the simulation hot path; keep it
-    in step with :func:`rk4_step`, :func:`make_rigid_body_dynamics` and
-    :func:`adcslab.quatmath.quat_derivative`.
+    Bit-for-bit the same as ``n_sub`` calls of the reference ``rk4_step`` in
+    ``tests/oracles.py`` with step ``dt / n_sub``: the arithmetic runs in the
+    same order, on plain local floats, with the renormalization and
+    canonical sign flip after every substep, and no tuple is built until the
+    end.  This is the simulation hot path.
 
     Raises:
         ValueError: on a non-positive or non-finite ``dt``, or ``n_sub < 1``.
-        NonFiniteStateError: if any component leaves the finite domain, in
-            the same two cases (and with the same message) as
-            :func:`rk4_step`.
+        NonFiniteStateError: if any component leaves the finite domain: a
+            non-finite state after a substep, or a quaternion norm that
+            overflows.
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -254,7 +142,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     q0, q1, q2, q3 = state.q
     wx, wy, wz = state.omega
     t = state.t
-    dt = dt / n_sub  # the substep length, which is rk4_step's dt from here on
+    dt = dt / n_sub  # the substep length from here on
     half = 0.5 * dt
     sixth = dt / 6.0
     sqrt = math.sqrt

@@ -1,0 +1,210 @@
+"""Reference implementations the tests check the package against.
+
+None of this is on the simulation path.  :func:`rk4_step` on
+:func:`make_rigid_body_dynamics` is the plain RK4 that
+:func:`adcslab.rigidbody.propagate` must match bit for bit, substep by
+substep; :func:`sun_direction` is the standalone eclipse test that
+:func:`adcslab.environment.orbit_frame_sample` must agree with; the
+quaternion helpers build test inputs and expected values.
+
+The tests import this module as ``from oracles import ...``: ``tests/`` has
+no ``__init__.py``, so pytest puts the directory on ``sys.path``.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+from adcslab.environment import OrbitConfig, _in_eclipse, propagate_orbit
+from adcslab.quatmath import Quat, Vec3, ZeroQuaternionError, normalize_canonical, vunit
+from adcslab.rigidbody import AttitudeState, InertiaTensor, NonFiniteStateError
+
+_Rates = tuple[tuple[float, float, float, float], Vec3]
+Dynamics = Callable[[AttitudeState], _Rates]
+
+
+# ---------------------------------------------------------------------------
+# Quaternion and vector helpers
+# ---------------------------------------------------------------------------
+
+def vsub(a: Vec3, b: Vec3) -> Vec3:
+    return Vec3(a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def quat_multiply(a: Quat, b: Quat) -> Quat:
+    """Hamilton product ``a (x) b``."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return Quat(
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def quat_conjugate(q: Quat) -> Quat:
+    return Quat(q[0], -q[1], -q[2], -q[3])
+
+
+def quat_from_axis_angle(axis: Vec3, angle_rad: float) -> Quat:
+    u = vunit(axis)
+    h = 0.5 * angle_rad
+    s = math.sin(h)
+    return Quat(math.cos(h), u[0] * s, u[1] * s, u[2] * s)
+
+
+def rotate_body_to_orbit(q: Quat, v: Vec3) -> Vec3:
+    """Apply ``R(q)``: express a body-frame vector in the orbit frame."""
+    q0, q1, q2, q3 = q
+    vx, vy, vz = v
+    return Vec3(
+        (1.0 - 2.0 * (q2 * q2 + q3 * q3)) * vx
+        + 2.0 * (q1 * q2 - q0 * q3) * vy
+        + 2.0 * (q1 * q3 + q0 * q2) * vz,
+        2.0 * (q1 * q2 + q0 * q3) * vx
+        + (1.0 - 2.0 * (q1 * q1 + q3 * q3)) * vy
+        + 2.0 * (q2 * q3 - q0 * q1) * vz,
+        2.0 * (q1 * q3 - q0 * q2) * vx
+        + 2.0 * (q2 * q3 + q0 * q1) * vy
+        + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * vz,
+    )
+
+
+def quat_derivative(q: Quat, omega: Vec3) -> tuple[float, float, float, float]:
+    """Attitude kinematics ``qdot = 0.5 * Omega(omega) * q``.
+
+    ``Omega`` is the standard scalar-first skew form whose first row is
+    ``(0, -wx, -wy, -wz)``; the derivative is exactly orthogonal to ``q``.
+    """
+    q0, q1, q2, q3 = q
+    wx, wy, wz = omega
+    return (
+        0.5 * (-wx * q1 - wy * q2 - wz * q3),
+        0.5 * (wx * q0 + wz * q2 - wy * q3),
+        0.5 * (wy * q0 - wz * q1 + wx * q3),
+        0.5 * (wz * q0 + wy * q1 - wx * q2),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference RK4
+# ---------------------------------------------------------------------------
+
+def make_rigid_body_dynamics(J: InertiaTensor, torque: Vec3) -> Dynamics:
+    """Dynamics closure for a constant body-frame torque over one step.
+
+    The control loop recomputes the torque once per step (zero-order hold),
+    so within a step the torque is constant and the closure only evaluates
+    the gyroscopic term and the kinematics.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = J.rows
+    (p, qq, r), (s, t, u), (v, w, x) = J.inverse_rows
+    tx, ty, tz = torque
+
+    def dynamics(state: AttitudeState) -> _Rates:
+        wx, wy, wz = state.omega
+        hx = a * wx + b * wy + c * wz
+        hy = d * wx + e * wy + f * wz
+        hz = g * wx + h * wy + i * wz
+        gx = tx - (wy * hz - wz * hy)
+        gy = ty - (wz * hx - wx * hz)
+        gz = tz - (wx * hy - wy * hx)
+        return (
+            quat_derivative(state.q, state.omega),
+            Vec3(p * gx + qq * gy + r * gz,
+                 s * gx + t * gy + u * gz,
+                 v * gx + w * gy + x * gz),
+        )
+
+    return dynamics
+
+
+def free_rotation(J: InertiaTensor) -> Dynamics:
+    """Torque-free dynamics; conserves energy and momentum up to RK4 error."""
+    return make_rigid_body_dynamics(J, Vec3(0.0, 0.0, 0.0))
+
+
+def rk4_step(state: AttitudeState, dynamics: Dynamics, dt: float) -> AttitudeState:
+    """One classical RK4 step of the combined (q, omega) state.
+
+    The returned quaternion is renormalized and sign-canonicalized; wheel
+    momentum is carried through untouched (the actuator model owns it).
+
+    Raises:
+        ValueError: on a non-positive ``dt``.
+        NonFiniteStateError: if any component leaves the finite domain.
+    """
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    q0, q1, q2, q3 = state.q
+    wx, wy, wz = state.omega
+    t = state.t
+    half = 0.5 * dt
+
+    k1q, k1w = dynamics(state)
+    s2 = AttitudeState(
+        Quat(q0 + half * k1q[0], q1 + half * k1q[1],
+             q2 + half * k1q[2], q3 + half * k1q[3]),
+        Vec3(wx + half * k1w[0], wy + half * k1w[1], wz + half * k1w[2]),
+        state.wheel_momentum, t + half)
+    k2q, k2w = dynamics(s2)
+    s3 = AttitudeState(
+        Quat(q0 + half * k2q[0], q1 + half * k2q[1],
+             q2 + half * k2q[2], q3 + half * k2q[3]),
+        Vec3(wx + half * k2w[0], wy + half * k2w[1], wz + half * k2w[2]),
+        state.wheel_momentum, t + half)
+    k3q, k3w = dynamics(s3)
+    s4 = AttitudeState(
+        Quat(q0 + dt * k3q[0], q1 + dt * k3q[1],
+             q2 + dt * k3q[2], q3 + dt * k3q[3]),
+        Vec3(wx + dt * k3w[0], wy + dt * k3w[1], wz + dt * k3w[2]),
+        state.wheel_momentum, t + dt)
+    k4q, k4w = dynamics(s4)
+
+    sixth = dt / 6.0
+    qn = Quat(
+        q0 + sixth * (k1q[0] + 2.0 * (k2q[0] + k3q[0]) + k4q[0]),
+        q1 + sixth * (k1q[1] + 2.0 * (k2q[1] + k3q[1]) + k4q[1]),
+        q2 + sixth * (k1q[2] + 2.0 * (k2q[2] + k3q[2]) + k4q[2]),
+        q3 + sixth * (k1q[3] + 2.0 * (k2q[3] + k3q[3]) + k4q[3]),
+    )
+    wn = Vec3(
+        wx + sixth * (k1w[0] + 2.0 * (k2w[0] + k3w[0]) + k4w[0]),
+        wy + sixth * (k1w[1] + 2.0 * (k2w[1] + k3w[1]) + k4w[1]),
+        wz + sixth * (k1w[2] + 2.0 * (k2w[2] + k3w[2]) + k4w[2]),
+    )
+    probe = qn[0] + qn[1] + qn[2] + qn[3] + wn[0] + wn[1] + wn[2]
+    if not math.isfinite(probe):
+        raise NonFiniteStateError(
+            f"non-finite state after step at t={t:.6g}s (dt={dt:g}); "
+            "dt is probably too large for the current rates"
+        )
+    try:
+        q_unit = normalize_canonical(qn)
+    except ZeroQuaternionError as exc:
+        # Components can stay individually finite while the squared norm
+        # overflows; that's the same runaway, reported the same way.
+        raise NonFiniteStateError(
+            f"quaternion norm left the finite domain at t={t:.6g}s (dt={dt:g})"
+        ) from exc
+    return AttitudeState(q_unit, wn, state.wheel_momentum, t + dt)
+
+
+# ---------------------------------------------------------------------------
+# Sun and eclipse
+# ---------------------------------------------------------------------------
+
+def sun_direction(
+    t: float,
+    cfg: OrbitConfig,
+    sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0),
+) -> tuple[Vec3, bool]:
+    """Unit vector toward the sun (inertial) and the cylindrical-shadow eclipse flag.
+
+    The spacecraft is in eclipse when it is on the anti-sun side of the Earth
+    and its position projects inside the Earth-radius shadow cylinder.
+    """
+    s_hat = vunit(sun_inertial)
+    return s_hat, _in_eclipse(propagate_orbit(cfg, t).position_m, s_hat, cfg.earth_radius_m)

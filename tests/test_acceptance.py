@@ -34,7 +34,8 @@ from adcslab.massmodel import (
     mass_properties,
 )
 from adcslab.quatmath import IDENTITY, RPM_TO_RADPS, Vec3
-from adcslab.rigidbody import AttitudeState, InertiaTensor, free_rotation, rk4_step
+from adcslab.rigidbody import AttitudeState, InertiaTensor
+from oracles import free_rotation, rk4_step
 
 SWEEP_BUDGET_S = 300.0
 ORBIT_PERIOD_S = orbit_period(OrbitConfig())

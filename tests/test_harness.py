@@ -70,6 +70,9 @@ def _row(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0)):
     dict(align_tolerance_deg=float("inf")),
     dict(mode="spin", spin_target_rpm=float("inf")),
     dict(min_principal_inertia_kgm2=float("inf")),
+    dict(telemetry_cadence_s=0.15),                     # not a whole number of steps
+    dict(telemetry_cadence_s=0.25),
+    dict(telemetry_cadence_s=0.05),                     # shorter than a step
 ])
 def test_scenario_rejects_bad_inputs(bad):
     with pytest.raises(ValueError):
@@ -83,7 +86,9 @@ def test_duration_in_orbits_wins():
 
 def test_dt_longer_than_run_is_rejected():
     with pytest.raises(ValueError, match="exceeds"):
-        Scenario(duration_s=5.0, dt_s=10.0).resolved_duration_s()
+        Scenario(duration_s=5.0, dt_s=10.0)
+    with pytest.raises(ValueError, match="exceeds"):
+        Scenario(duration_orbits=1e-4, dt_s=1.0)    # 0.55 s
 
 
 def test_telemetry_cadence_rules():
@@ -359,6 +364,12 @@ def test_monte_carlo_reports_divergence_instead_of_raising():
     mc = monte_carlo(base, 2, seed=3, vary=())
     assert all(r.error is not None and not r.converged for r in mc.results)
     assert mc.summary["diverged"] == 2
+    with pytest.raises(DivergenceError) as diverged:
+        run_scenario(base)
+    for r in mc.results:  # what the run reached, not invented values
+        assert r.final_mode == "detumble"
+        assert r.duration_s == 30.0
+        assert r.steps == diverged.value.step
 
 
 # ------------------------------------------------------------- presets

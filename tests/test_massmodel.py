@@ -14,7 +14,6 @@ from adcslab.massmodel import (
     MassCatalog,
     MassComponent,
     apply_inertia_floor,
-    artificial_gravity,
     bundled_catalog,
     catalog_from_dict,
     compute_cg,
@@ -305,23 +304,6 @@ def test_floor_conditions_the_bundled_stack():
 def test_floor_rejects_nonpositive():
     with pytest.raises(ValueError):
         apply_inertia_floor(np.eye(3), 0.0)
-
-
-# ----------------------------------------------------------------- centrifuge
-
-def test_artificial_gravity_trivials():
-    assert artificial_gravity(0.0, 3.0) == 0.0
-    assert artificial_gravity(0.2, 0.0) == 0.0
-
-
-def test_artificial_gravity_milligravity_point():
-    one_rpm = 2 * np.pi / 60
-    assert artificial_gravity(0.15, one_rpm) == pytest.approx(1.6449e-3, rel=1e-4)
-
-
-def test_artificial_gravity_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        artificial_gravity(-0.1, 1.0)
 
 
 # -------------------------------------------------------------- catalog files

@@ -12,20 +12,22 @@ from adcslab.quatmath import (
     ZeroQuaternionError,
     canonical_sign,
     normalize_canonical,
-    quat_conjugate,
-    quat_derivative,
-    quat_from_axis_angle,
     quat_from_euler,
-    quat_multiply,
     quat_norm,
     quat_to_euler,
-    rotate_body_to_orbit,
     rotate_orbit_to_body,
     vcross,
     vdot,
     vnorm,
-    vsub,
     vunit,
+)
+from oracles import (
+    quat_conjugate,
+    quat_derivative,
+    quat_from_axis_angle,
+    quat_multiply,
+    rotate_body_to_orbit,
+    vsub,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

@@ -12,8 +12,8 @@ The controller family is deliberately simple and gain-driven:
 
       tau_rw = -K1 * omega_e.x        tau_m = -K2 * (0, omega_e.y, omega_e.z)
 
-The quaternion error is the literal vector-part difference
-``vec(q) - vec(q_d)`` of sign-canonicalized quaternions.
+The pointing target is the orbit frame, so the quaternion error is the
+vector part of the sign-canonicalized attitude quaternion itself.
 
 Magnetorquer allocation runs at two fidelities: IDEAL treats the commanded
 torque as directly realizable up to a per-axis clamp; PHYSICAL converts it to
@@ -116,7 +116,7 @@ ALLOWED_TRANSITIONS: dict[Mode, frozenset[Mode]] = {
 
 
 class ErrorState(NamedTuple):
-    q_e_vec: Vec3   # vector-part quaternion error
+    q_e_vec: Vec3   # vector part of the attitude quaternion
     omega_e: Vec3   # rad/s rate error
 
 
@@ -140,14 +140,13 @@ class ModeThresholds:
     despin_exit_radps: float = 1e-3
 
 
-def error_state(q: Quat, q_d: Quat, omega: Vec3, omega_d: Vec3) -> ErrorState:
-    """Error quaternion vector part and rate error.
+def error_state(q: Quat, omega: Vec3, omega_d: Vec3) -> ErrorState:
+    """Attitude error relative to the orbit frame and rate error.
 
-    Both quaternions are expected sign-canonicalized (q0 >= 0); the error is
-    the plain component difference of the vector parts, which for small
-    errors agrees with the vector part of ``q (x) conj(q_d)`` to first order.
+    ``q`` is the body attitude relative to the orbit frame, expected
+    sign-canonicalized (q0 >= 0); its vector part is the attitude error.
     """
-    return ErrorState(Vec3(q[1] - q_d[1], q[2] - q_d[2], q[3] - q_d[3]),
+    return ErrorState(Vec3(q[1], q[2], q[3]),
                       Vec3(omega[0] - omega_d[0],
                            omega[1] - omega_d[1],
                            omega[2] - omega_d[2]))

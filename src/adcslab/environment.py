@@ -129,8 +129,6 @@ class OrbitConfig:
     inclination_deg: float = 51.6
     raan_deg: float = 0.0
     phase_deg: float = 0.0
-    mu_m3s2: float = _CONSTANTS.mu_m3s2
-    earth_radius_m: float = _CONSTANTS.earth_radius_m
 
     def __post_init__(self) -> None:
         if not (200.0 <= self.altitude_km <= 2000.0):
@@ -140,7 +138,7 @@ class OrbitConfig:
 
     @property
     def radius_m(self) -> float:
-        return self.earth_radius_m + 1000.0 * self.altitude_km
+        return _CONSTANTS.earth_radius_m + 1000.0 * self.altitude_km
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,13 +164,13 @@ class OrbitState:
 def orbit_period(cfg: OrbitConfig) -> float:
     """Keplerian period 2*pi*sqrt(a^3 / mu) in seconds."""
     a = cfg.radius_m
-    return 2.0 * math.pi * math.sqrt(a * a * a / cfg.mu_m3s2)
+    return 2.0 * math.pi * math.sqrt(a * a * a / _CONSTANTS.mu_m3s2)
 
 
 def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
     """Two-body circular orbit state at time ``t`` seconds."""
     a = cfg.radius_m
-    n = math.sqrt(cfg.mu_m3s2 / (a * a * a))
+    n = math.sqrt(_CONSTANTS.mu_m3s2 / (a * a * a))
     u = math.radians(cfg.phase_deg) + n * t
     cu, su = math.cos(u), math.sin(u)
 
@@ -202,11 +200,8 @@ def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
 # Fields
 # ---------------------------------------------------------------------------
 
-def magnetic_field(
-    orbit: OrbitState,
-    tilt_deg: float = _CONSTANTS.default_dipole_tilt_deg,
-    earth_radius_m: float = _CONSTANTS.earth_radius_m,
-) -> Vec3:
+def magnetic_field(orbit: OrbitState,
+                   tilt_deg: float = _CONSTANTS.default_dipole_tilt_deg) -> Vec3:
     """Tilted centered-dipole geomagnetic field at the orbit position, inertial frame.
 
     B = B0 (Re/r)^3 (3 (m.r_hat) r_hat - m_hat), with the dipole axis tilted
@@ -215,7 +210,7 @@ def magnetic_field(
     tilt = math.radians(tilt_deg)
     m_hat = Vec3(math.sin(tilt), 0.0, math.cos(tilt))
     r_hat = vunit(orbit.position_m)
-    scale = _CONSTANTS.dipole_b0_tesla * (earth_radius_m / orbit.radius_m) ** 3
+    scale = _CONSTANTS.dipole_b0_tesla * (_CONSTANTS.earth_radius_m / orbit.radius_m) ** 3
     mr = vdot(m_hat, r_hat)
     return Vec3(
         scale * (3.0 * mr * r_hat[0] - m_hat[0]),
@@ -224,13 +219,13 @@ def magnetic_field(
     )
 
 
-def _in_eclipse(r: Vec3, s_hat: Vec3, earth_radius_m: float) -> bool:
+def _in_eclipse(r: Vec3, s_hat: Vec3) -> bool:
     """Cylindrical-shadow test for position ``r`` and unit sun vector ``s_hat``."""
     along = vdot(r, s_hat)
     if along >= 0.0:
         return False
     perp = Vec3(r[0] - along * s_hat[0], r[1] - along * s_hat[1], r[2] - along * s_hat[2])
-    return vnorm(perp) < earth_radius_m
+    return vnorm(perp) < _CONSTANTS.earth_radius_m
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +287,12 @@ class SpacecraftGeometry:
 
 @dataclass(frozen=True, slots=True)
 class EnvironmentSample:
-    """Environment quantities expressed in the body frame at one instant."""
+    """The disturbance-torque inputs expressed in the body frame at one instant.
 
-    b_body_tesla: Vec3
+    The field is left out: the magnetorquers rotate ``b_orbit_tesla`` at
+    every control step themselves.
+    """
+
     sun_body: Vec3          # unit vector toward the sun
     in_eclipse: bool
     density_kgm3: float
@@ -368,12 +366,11 @@ def srp_torque(geometry: SpacecraftGeometry, env: EnvironmentSample, cg_m: Vec3)
     return Vec3(tx, ty, tz)
 
 
-def gravity_gradient_torque(J: InertiaTensor, r_body_m: Vec3,
-                            mu_m3s2: float = _CONSTANTS.mu_m3s2) -> Vec3:
+def gravity_gradient_torque(J: InertiaTensor, r_body_m: Vec3) -> Vec3:
     """Gravity-gradient torque ``3 mu / |r|^5 * (r x J r)`` in the body frame."""
     jr = J.dot(r_body_m)
     r = vnorm(r_body_m)
-    scale = 3.0 * mu_m3s2 / r**5
+    scale = 3.0 * _CONSTANTS.mu_m3s2 / r**5
     c = vcross(r_body_m, jr)
     return Vec3(scale * c[0], scale * c[1], scale * c[2])
 
@@ -383,7 +380,6 @@ def total_disturbance(
     env: EnvironmentSample,
     J: InertiaTensor,
     cg_m: Vec3,
-    mu_m3s2: float = _CONSTANTS.mu_m3s2,
     include: tuple[bool, bool, bool] = (True, True, True),
 ) -> Vec3:
     """Sum of the (drag, SRP, gravity-gradient) torques, each individually togglable."""
@@ -395,7 +391,7 @@ def total_disturbance(
         s = srp_torque(geometry, env, cg_m)
         tx += s[0]; ty += s[1]; tz += s[2]
     if include[2]:
-        g = gravity_gradient_torque(J, env.r_body_m, mu_m3s2)
+        g = gravity_gradient_torque(J, env.r_body_m)
         tx += g[0]; ty += g[1]; tz += g[2]
     return Vec3(tx, ty, tz)
 
@@ -406,7 +402,8 @@ class OrbitFrameSample:
 
     These evolve on the orbit timescale, so a simulation loop can refresh them
     at a slow cadence and rotate them into the (fast-moving) body frame as
-    often as the control law needs via :meth:`to_body`.
+    often as it needs: :meth:`to_body` for the disturbance inputs,
+    ``rotate_orbit_to_body`` for the field.
     """
 
     b_orbit_tesla: Vec3
@@ -418,7 +415,6 @@ class OrbitFrameSample:
 
     def to_body(self, q: Quat) -> EnvironmentSample:
         return EnvironmentSample(
-            b_body_tesla=rotate_orbit_to_body(q, self.b_orbit_tesla),
             sun_body=rotate_orbit_to_body(q, self.sun_orbit),
             in_eclipse=self.in_eclipse,
             density_kgm3=self.density_kgm3,
@@ -435,13 +431,12 @@ def orbit_frame_sample(
 ) -> OrbitFrameSample:
     """Attitude-independent environment snapshot at time ``t``, orbit frame."""
     orbit = propagate_orbit(cfg, t)
-    b_orbit = orbit.to_orbit_frame(magnetic_field(orbit, dipole_tilt_deg,
-                                                  earth_radius_m=cfg.earth_radius_m))
+    b_orbit = orbit.to_orbit_frame(magnetic_field(orbit, dipole_tilt_deg))
     s_hat = vunit(sun_inertial)
     return OrbitFrameSample(
         b_orbit_tesla=b_orbit,
         sun_orbit=orbit.to_orbit_frame(s_hat),
-        in_eclipse=_in_eclipse(orbit.position_m, s_hat, cfg.earth_radius_m),
+        in_eclipse=_in_eclipse(orbit.position_m, s_hat),
         density_kgm3=atmospheric_density(cfg.altitude_km),
         v_orbit_mps=Vec3(orbit.speed_mps, 0.0, 0.0),  # x is along velocity by construction
         r_orbit_m=Vec3(0.0, 0.0, -orbit.radius_m),    # z points toward the Earth's center

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import itemgetter
 from statistics import fmean
 from typing import Iterable, Sequence, TextIO
@@ -160,7 +160,9 @@ class Scenario:
     ``env_update_every_s`` and held in between; the body-frame field used by
     physical dipole allocation is re-rotated every control step, so it never
     goes stale even while tumbling.  Telemetry cadence defaults to every step
-    for runs up to 120 s and 1 s otherwise.
+    for runs up to 120 s.  Both periods must be whole numbers of ``dt_s``
+    steps when given; otherwise (and for telemetry of longer runs) they are
+    1 s rounded to the nearest whole number of steps.
     """
 
     name: str = "scenario"
@@ -193,7 +195,7 @@ class Scenario:
     dt_s: float = 0.1
     duration_s: float = 600.0
     duration_orbits: float | None = None
-    env_update_every_s: float = 1.0
+    env_update_every_s: float | None = None
     telemetry_cadence_s: float | None = None
     settle_band: float = 0.01
     align_tolerance_deg: float = 5.0
@@ -209,6 +211,13 @@ class Scenario:
             raise ValueError("regolith policy 'fixed' needs regolith_fixed_cm")
         if self.regolith_policy == "sampled" and self.seed is None:
             raise ValueError("regolith policy 'sampled' needs a seed")
+        catalog = self.catalog if self.catalog is not None else bundled_catalog()
+        if self.regolith_policy != "stowed" and catalog.regolith is None:
+            raise ValueError(f"regolith policy {self.regolith_policy!r} needs a catalog with "
+                             f"a movable regolith component; {catalog.name} has none")
+        if self.regolith_policy == "fixed" and not catalog.chamber.contains(self.regolith_fixed_cm):
+            raise ValueError(f"fixed regolith position {tuple(self.regolith_fixed_cm)} cm is "
+                             "outside the payload chamber")
         if not (self.dt_s > 0.0 and math.isfinite(self.dt_s)):
             raise ValueError(f"dt must be positive and finite, got {self.dt_s}")
         if self.duration_orbits is None:
@@ -217,17 +226,9 @@ class Scenario:
         elif not (0.0 < self.duration_orbits < math.inf):
             raise ValueError(
                 f"duration must be > 0 and finite, got {self.duration_orbits} orbits")
-        if not (0.0 < self.env_update_every_s < math.inf):
-            raise ValueError("env_update_every_s must be > 0 and finite")
-        cadence = self.telemetry_cadence_s
-        if cadence is not None:
-            if not (0.0 < cadence < math.inf):
-                raise ValueError("telemetry_cadence_s must be > 0 and finite when given")
-            steps = cadence / self.dt_s
-            n = round(steps) if steps < math.inf else 0
-            if n < 1 or abs(steps - n) > 1e-9 * steps:
-                raise ValueError(f"telemetry_cadence_s={cadence} must be a whole "
-                                 f"multiple of dt={self.dt_s} s")
+        for name in ("env_update_every_s", "telemetry_cadence_s"):
+            if getattr(self, name) is not None:
+                _whole_steps(self, name)
         if not (0.0 < self.settle_band < 1.0):
             raise ValueError(f"settle_band must be in (0, 1), got {self.settle_band}")
         if not (0.0 < self.align_tolerance_deg < math.inf):
@@ -269,10 +270,25 @@ class Scenario:
         return duration
 
     def resolved_cadence_s(self, duration_s: float) -> float:
-        if self.telemetry_cadence_s is not None:
-            return self.telemetry_cadence_s
-        # Every step for short runs, 1 Hz for orbit-scale ones.
-        return self.dt_s if duration_s <= 120.0 else max(self.dt_s, 1.0)
+        """Seconds between telemetry rows, as recorded."""
+        if self.telemetry_cadence_s is None and duration_s <= 120.0:
+            return self.dt_s  # every step for short runs, about 1 Hz for orbit-scale ones
+        return self.dt_s * _whole_steps(self, "telemetry_cadence_s")
+
+
+def _whole_steps(s: Scenario, name: str) -> int:
+    """Steps of ``s.dt_s`` in the period field ``name``, which must be a whole
+    number (>= 1) of them; None means 1 s rounded to whole steps, at least one."""
+    period_s, dt_s = getattr(s, name), s.dt_s
+    if period_s is None:
+        return max(1, round(1.0 / dt_s))
+    if not (0.0 < period_s < math.inf):
+        raise ValueError(f"{name} must be > 0 and finite, got {period_s}")
+    steps = period_s / dt_s
+    n = round(steps) if steps < math.inf else 0
+    if n < 1 or abs(steps - n) > 1e-9 * steps:
+        raise ValueError(f"{name}={period_s} must be a whole multiple of dt={dt_s} s")
+    return n
 
 
 @dataclass(frozen=True)
@@ -298,11 +314,7 @@ def assemble(s: Scenario) -> AssembledScenario:
     """
     catalog = s.catalog if s.catalog is not None else bundled_catalog()
     if s.regolith_policy == "fixed":
-        pos = Vec3(*s.regolith_fixed_cm)
-        if not catalog.chamber.contains(pos):
-            raise ValueError(
-                f"fixed regolith position {tuple(pos)} cm is outside the payload chamber")
-        catalog = catalog.with_regolith_at(pos)
+        catalog = catalog.with_regolith_at(Vec3(*s.regolith_fixed_cm))
     elif s.regolith_policy == "sampled":
         catalog = catalog.with_regolith_at(
             sample_regolith(catalog.chamber, np.random.default_rng(s.seed)))
@@ -353,69 +365,51 @@ class Telemetry:
             self.to_csv(fh)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunResult:
-    """Metrics extracted from one run; times are None when not reached."""
+    """Metrics extracted from one run; times are None when not reached.
+
+    The defaults are what a diverged run reports for the fields it never
+    reaches; a converged run sets every field.
+    """
 
     scenario_name: str
     mode: str
     final_mode: str
-    converged: bool
+    converged: bool = False
     orbit_period_s: float
     duration_s: float
     dt_s: float
     steps: int
-    detumble_time_s: float | None
-    detumble_time_orbits: float | None
-    spin_settle_time_s: float | None
-    despin_time_s: float | None
-    align_time_s: float | None
-    final_q: Quat
-    final_omega_radps: Vec3
-    final_speed_radps: float
-    final_wheel_momentum_nms: float
-    max_qe_post_settle: float | None
-    max_speed_post_settle_radps: float | None
-    max_cone_angle_post_settle_deg: float | None
-    magnetic_saturation_steps: int
-    wheel_saturation_steps: int
-    max_wheel_momentum_nms: float
-    max_tau_b_alignment: float | None   # max |tau_m . B| / (|tau_m||B|), physical fidelity
-    regolith_position_cm: Vec3 | None
-    transitions: tuple[tuple[float, str], ...]
+    detumble_time_s: float | None = None
+    detumble_time_orbits: float | None = None
+    spin_settle_time_s: float | None = None
+    despin_time_s: float | None = None
+    align_time_s: float | None = None
+    final_q: Quat = IDENTITY
+    final_omega_radps: Vec3 = ZERO3
+    final_speed_radps: float = 0.0
+    final_wheel_momentum_nms: float = 0.0
+    max_qe_post_settle: float | None = None
+    max_speed_post_settle_radps: float | None = None
+    max_cone_angle_post_settle_deg: float | None = None
+    magnetic_saturation_steps: int = 0
+    wheel_saturation_steps: int = 0
+    max_wheel_momentum_nms: float = 0.0
+    max_tau_b_alignment: float | None = None  # max |tau_m . B| / (|tau_m||B|), physical fidelity
+    regolith_position_cm: Vec3 | None = None
+    transitions: tuple[tuple[float, str], ...] = ()
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "mode": self.mode,
-            "final_mode": self.final_mode,
-            "converged": self.converged,
-            "orbit_period_s": self.orbit_period_s,
-            "duration_s": self.duration_s,
-            "dt_s": self.dt_s,
-            "steps": self.steps,
-            "detumble_time_s": self.detumble_time_s,
-            "detumble_time_orbits": self.detumble_time_orbits,
-            "spin_settle_time_s": self.spin_settle_time_s,
-            "despin_time_s": self.despin_time_s,
-            "align_time_s": self.align_time_s,
-            "final_q": list(self.final_q),
-            "final_omega_radps": list(self.final_omega_radps),
-            "final_speed_radps": self.final_speed_radps,
-            "final_wheel_momentum_nms": self.final_wheel_momentum_nms,
-            "max_qe_post_settle": self.max_qe_post_settle,
-            "max_speed_post_settle_radps": self.max_speed_post_settle_radps,
-            "max_cone_angle_post_settle_deg": self.max_cone_angle_post_settle_deg,
-            "magnetic_saturation_steps": self.magnetic_saturation_steps,
-            "wheel_saturation_steps": self.wheel_saturation_steps,
-            "max_wheel_momentum_nms": self.max_wheel_momentum_nms,
-            "max_tau_b_alignment": self.max_tau_b_alignment,
-            "regolith_position_cm": None if self.regolith_position_cm is None
-            else list(self.regolith_position_cm),
-            "transitions": [[t, m] for t, m in self.transitions],
-            "error": self.error,
-        }
+        """Every field in declaration order, ``scenario_name`` as "scenario"."""
+        return {"scenario" if f.name == "scenario_name" else f.name: _listed(getattr(self, f.name))
+                for f in fields(self)}
+
+
+def _listed(value):
+    """``value`` with every tuple, nested ones too, turned into a list."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _speed(omega) -> float:
@@ -515,15 +509,12 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     dt = s.dt_s
     n_steps = max(1, int(round(duration / dt)))
     tel_every = max(1, int(round(s.resolved_cadence_s(duration) / dt)))
-    env_every = max(1, int(round(s.env_update_every_s / dt)))
+    env_every = _whole_steps(s, "env_update_every_s")
 
     gains, limits, thresholds = s.gains, s.limits, s.thresholds
     fidelity = s.fidelity
     physical = fidelity is Fidelity.PHYSICAL
     include = (s.enable_drag, s.enable_srp, s.enable_gravity_gradient)
-    any_disturbance = any(include)
-    mu = cfg.mu_m3s2
-    q_d = IDENTITY
     spin_omega = Vec3(s.spin_target_rpm * RPM_TO_RADPS, 0.0, 0.0)
 
     conops = s.mode == "conops"
@@ -541,8 +532,6 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
                           s.wheel_momentum0_nms, 0.0)
     transitions: list[tuple[float, str]] = [(0.0, mode.value)]
     rows: list[tuple] = []
-    env = None
-    tau_d = ZERO3
     wf_body = ZERO3
     cmd = _ZERO_CMD
     mag_sat = 0
@@ -566,9 +555,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     for k in range(n_steps):
         if k % env_every == 0:
             orbit_env = orbit_frame_sample(cfg, state.t, s.sun_inertial, s.dipole_tilt_deg)
-            env = orbit_env.to_body(state.q)
-            tau_d = (total_disturbance(geometry, env, J, cg_m, mu, include)
-                     if any_disturbance else ZERO3)
+            tau_d = total_disturbance(geometry, orbit_env.to_body(state.q), J, cg_m, include)
             if coupling:
                 wf_body = rotate_orbit_to_body(state.q, Vec3(0.0, -n_orb, 0.0))
 
@@ -583,14 +570,14 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
                 transitions.append((state.t, mode.value))
 
         hw = hw_next = state.wheel_momentum
-        b_ctrl = (rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla)
-                  if physical else env.b_body_tesla)
+        # IDEAL allocation clamps the torque per axis and never reads the field.
+        b_ctrl = rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla) if physical else ZERO3
         if mode is Mode.SAFE:
             cmd = _ZERO_CMD
         else:
             spin = mode is Mode.SPIN
             wheel = spin or mode is Mode.DESPIN
-            err = error_state(state.q, q_d, state.omega, spin_omega if spin else ZERO3)
+            err = error_state(state.q, state.omega, spin_omega if spin else ZERO3)
             if wheel:
                 tau_rw_cmd, tau_m_des = spin_torques(err, gains)
             else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
@@ -738,16 +725,9 @@ def _mc_scenario(base: Scenario, master_seed: int, index: int,
 def _failed_result(s: Scenario, exc: DivergenceError) -> RunResult:
     """A diverged run: the mode it was in and the step it reached; no metrics."""
     return RunResult(
-        scenario_name=s.name, mode=s.mode, final_mode=exc.mode, converged=False,
+        scenario_name=s.name, mode=s.mode, final_mode=exc.mode,
         orbit_period_s=orbit_period(s.orbit), duration_s=s.resolved_duration_s(),
-        dt_s=s.dt_s, steps=exc.step, detumble_time_s=None, detumble_time_orbits=None,
-        spin_settle_time_s=None, despin_time_s=None, align_time_s=None,
-        final_q=IDENTITY, final_omega_radps=ZERO3, final_speed_radps=0.0,
-        final_wheel_momentum_nms=0.0, max_qe_post_settle=None,
-        max_speed_post_settle_radps=None, max_cone_angle_post_settle_deg=None,
-        magnetic_saturation_steps=0, wheel_saturation_steps=0,
-        max_wheel_momentum_nms=0.0, max_tau_b_alignment=None,
-        regolith_position_cm=None, transitions=(), error=str(exc),
+        dt_s=s.dt_s, steps=exc.step, error=str(exc),
     )
 
 

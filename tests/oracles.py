@@ -16,8 +16,16 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from adcslab.environment import OrbitConfig, _in_eclipse, propagate_orbit
-from adcslab.quatmath import Quat, Vec3, ZeroQuaternionError, normalize_canonical, vunit
+from adcslab.environment import OrbitConfig, constants, propagate_orbit
+from adcslab.quatmath import (
+    Quat,
+    Vec3,
+    ZeroQuaternionError,
+    normalize_canonical,
+    vdot,
+    vnorm,
+    vunit,
+)
 from adcslab.rigidbody import AttitudeState, InertiaTensor, NonFiniteStateError
 
 _Rates = tuple[tuple[float, float, float, float], Vec3]
@@ -207,4 +215,7 @@ def sun_direction(
     and its position projects inside the Earth-radius shadow cylinder.
     """
     s_hat = vunit(sun_inertial)
-    return s_hat, _in_eclipse(propagate_orbit(cfg, t).position_m, s_hat, cfg.earth_radius_m)
+    r = propagate_orbit(cfg, t).position_m
+    along = vdot(r, s_hat)
+    perp = Vec3(r[0] - along * s_hat[0], r[1] - along * s_hat[1], r[2] - along * s_hat[2])
+    return s_hat, along < 0.0 and vnorm(perp) < constants().earth_radius_m

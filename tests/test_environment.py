@@ -55,7 +55,6 @@ def _orbit_state_at(position_m: Vec3) -> OrbitState:
 def _ram_sample(density: float = 3e-12, speed: float = 7660.0) -> EnvironmentSample:
     """Flow along +x body, sun along +x, daylight; position far below on -z."""
     return EnvironmentSample(
-        b_body_tesla=Vec3(0.0, 0.0, 0.0),
         sun_body=Vec3(1.0, 0.0, 0.0),
         in_eclipse=False,
         density_kgm3=density,
@@ -292,7 +291,7 @@ def test_drag_torque_linear_in_density(k):
 def test_centered_box_feels_no_drag_torque(v_hat, speed):
     """Projected-area-weighted centroid of a centered box lies along the flow."""
     geom = SpacecraftGeometry.box()
-    env = EnvironmentSample(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), False, 3.725e-12,
+    env = EnvironmentSample(Vec3(1.0, 0.0, 0.0), False, 3.725e-12,
                             Vec3(v_hat.x * speed, v_hat.y * speed, v_hat.z * speed),
                             Vec3(0.0, 0.0, -CFG.radius_m))
     tau = drag_torque(geom, env, Vec3(0.0, 0.0, 0.0))
@@ -329,7 +328,7 @@ def test_srp_mirror_doubles_the_normal_push():
 
 def test_srp_is_zero_in_eclipse():
     geom = SpacecraftGeometry.box()
-    env = EnvironmentSample(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0), True, 3e-12,
+    env = EnvironmentSample(Vec3(1.0, 0.0, 0.0), True, 3e-12,
                             Vec3(7660.0, 0.0, 0.0), Vec3(0.0, 0.0, -CFG.radius_m))
     assert srp_torque(geom, env, Vec3(0.01, 0.02, -0.03)) == Vec3(0.0, 0.0, 0.0)
 
@@ -345,7 +344,7 @@ def test_srp_skips_edge_on_and_shaded_faces():
 @settings(max_examples=60)
 def test_centered_box_feels_no_srp_torque(s_hat):
     geom = SpacecraftGeometry.box()
-    env = EnvironmentSample(Vec3(0.0, 0.0, 0.0), s_hat, False, 0.0,
+    env = EnvironmentSample(s_hat, False, 0.0,
                             Vec3(0.0, 0.0, 0.0), Vec3(0.0, 0.0, -CFG.radius_m))
     assert vnorm(srp_torque(geom, env, Vec3(0.0, 0.0, 0.0))) < 1e-15
 
@@ -466,7 +465,6 @@ def test_orbit_frame_sample_eclipse_matches_sun_direction_over_an_orbit(monkeypa
 def test_to_body_with_identity_attitude_is_a_copy():
     s = orbit_frame_sample(CFG, 60.0)
     env = s.to_body(IDENTITY)
-    assert env.b_body_tesla == pytest.approx(s.b_orbit_tesla, rel=1e-15)
     assert env.v_rel_body_mps == pytest.approx(s.v_orbit_mps, rel=1e-15)
     assert env.r_body_m == pytest.approx(s.r_orbit_m, rel=1e-15)
     assert env.in_eclipse == s.in_eclipse
@@ -477,8 +475,7 @@ def test_to_body_rotates_every_vector_consistently():
     s = orbit_frame_sample(CFG, 1500.0)
     q = quat_from_euler(40.0, 25.0, 70.0)
     env = s.to_body(q)
-    assert env.b_body_tesla == rotate_orbit_to_body(q, s.b_orbit_tesla)
     assert env.sun_body == rotate_orbit_to_body(q, s.sun_orbit)
     assert env.v_rel_body_mps == rotate_orbit_to_body(q, s.v_orbit_mps)
     assert env.r_body_m == rotate_orbit_to_body(q, s.r_orbit_m)
-    assert vnorm(env.b_body_tesla) == pytest.approx(vnorm(s.b_orbit_tesla), rel=1e-12)
+    assert vnorm(env.r_body_m) == pytest.approx(vnorm(s.r_orbit_m), rel=1e-12)

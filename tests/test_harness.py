@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from adcslab.harness import (
     ROD_EFFECTIVE_TORQUE_NM,
     TELEMETRY_COLUMNS,
     DivergenceError,
+    RunResult,
     Scenario,
     _Metrics,
     assemble,
@@ -19,7 +21,7 @@ from adcslab.harness import (
     run_scenario,
     run_scenario_metrics,
 )
-from adcslab.massmodel import bundled_catalog, sample_regolith
+from adcslab.massmodel import MassCatalog, MassComponent, bundled_catalog, sample_regolith
 from adcslab.quatmath import RPM_TO_RADPS, Quat, Vec3, quat_from_euler, vnorm
 
 PERIOD = orbit_period(OrbitConfig())
@@ -73,6 +75,8 @@ def _row(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0)):
     dict(telemetry_cadence_s=0.15),                     # not a whole number of steps
     dict(telemetry_cadence_s=0.25),
     dict(telemetry_cadence_s=0.05),                     # shorter than a step
+    dict(env_update_every_s=0.15),                      # not a whole number of steps
+    dict(env_update_every_s=0.05),                      # shorter than a step
 ])
 def test_scenario_rejects_bad_inputs(bad):
     with pytest.raises(ValueError):
@@ -97,6 +101,10 @@ def test_telemetry_cadence_rules():
     assert s.resolved_cadence_s(600.0) == 1.0            # long run: 1 Hz
     explicit = Scenario(duration_s=60.0, telemetry_cadence_s=0.5)
     assert explicit.resolved_cadence_s(600.0) == 0.5
+    coarse = Scenario(mode="safe", dt_s=0.3, duration_s=300.0)  # 1 s rounds to 3 steps
+    t = run_scenario(coarse)[0].column("t_s")
+    assert coarse.resolved_cadence_s(300.0) == pytest.approx(t[1] - t[0], rel=1e-12)
+    assert coarse.resolved_cadence_s(300.0) == pytest.approx(0.9, rel=1e-12)
 
 
 # ------------------------------------------------------------- assembly
@@ -117,9 +125,19 @@ def test_assemble_fixed_regolith_moves_the_payload():
 
 
 def test_assemble_rejects_regolith_outside_the_chamber():
-    s = Scenario(regolith_policy="fixed", regolith_fixed_cm=Vec3(10.0, 0.0, 5.0))
     with pytest.raises(ValueError, match="outside the payload chamber"):
-        assemble(s)
+        Scenario(regolith_policy="fixed", regolith_fixed_cm=Vec3(10.0, 0.0, 5.0))
+    with pytest.raises(ValueError, match="outside the payload chamber"):
+        Scenario(regolith_policy="fixed", regolith_fixed_cm=Vec3(100.0, 0.0, 0.0))
+
+
+def test_placing_regolith_needs_a_regolith_component():
+    bare = MassCatalog((MassComponent("bus", 2.0, Vec3(0.0, 0.0, 0.0)),), name="bare")
+    for policy in dict(regolith_policy="fixed", regolith_fixed_cm=Vec3(0.0, 0.0, 5.0)), \
+            dict(regolith_policy="sampled", seed=1):
+        with pytest.raises(ValueError, match="bare has none"):
+            Scenario(catalog=bare, **policy)
+    assert assemble(Scenario(catalog=bare)).regolith_position_cm is None
 
 
 def test_assemble_sampled_regolith_is_seeded():
@@ -210,6 +228,13 @@ def test_run_result_is_json_serializable():
     blob = json.loads(json.dumps(res.to_dict()))
     assert blob["scenario"] == "spin-default"
     assert blob["converged"] is True
+
+
+def test_run_result_keys_follow_the_field_declarations():
+    res = run_scenario_metrics(default_scenario("spin"))
+    names = [f.name for f in fields(RunResult)]
+    assert names[0] == "scenario_name"
+    assert list(res.to_dict()) == ["scenario", *names[1:]]
 
 
 # ------------------------------------------------------------- metrics
@@ -366,10 +391,22 @@ def test_monte_carlo_reports_divergence_instead_of_raising():
     assert mc.summary["diverged"] == 2
     with pytest.raises(DivergenceError) as diverged:
         run_scenario(base)
-    for r in mc.results:  # what the run reached, not invented values
-        assert r.final_mode == "detumble"
-        assert r.duration_s == 30.0
-        assert r.steps == diverged.value.step
+    for i, r in enumerate(mc.results):  # what the run reached, not invented values
+        assert r.to_dict() == {
+            "scenario": f"runaway[{i}]", "mode": "detumble", "final_mode": "detumble",
+            "converged": False, "orbit_period_s": PERIOD, "duration_s": 30.0, "dt_s": 0.1,
+            "steps": diverged.value.step,
+            "detumble_time_s": None, "detumble_time_orbits": None,
+            "spin_settle_time_s": None, "despin_time_s": None, "align_time_s": None,
+            "final_q": [1.0, 0.0, 0.0, 0.0], "final_omega_radps": [0.0, 0.0, 0.0],
+            "final_speed_radps": 0.0, "final_wheel_momentum_nms": 0.0,
+            "max_qe_post_settle": None, "max_speed_post_settle_radps": None,
+            "max_cone_angle_post_settle_deg": None,
+            "magnetic_saturation_steps": 0, "wheel_saturation_steps": 0,
+            "max_wheel_momentum_nms": 0.0, "max_tau_b_alignment": None,
+            "regolith_position_cm": None, "transitions": [],
+            "error": str(diverged.value),
+        }
 
 
 # ------------------------------------------------------------- presets

@@ -7,8 +7,10 @@ Monte Carlo rows hash ``json.dumps(mc.to_dict(), indent=2)`` and have no
 CSV.  A refactor that claims "no output byte changed" prints the same table
 before and after.
 
-The hashes are only stable on one machine: ``x ** 2`` goes through the C
-library's ``pow``, whose last-bit rounding differs between libm builds.
+The hashes are only stable on one machine: the runs call the C library's
+``sin``, ``cos``, ``atan2``, ``asin``, ``acos`` and ``exp``, and its ``pow``
+for the ``** 3`` and ``** 5`` in ``environment``, whose last-bit rounding
+differs between libm builds.
 
 Usage:
     PYTHONPATH=src python3 scripts/golden.py

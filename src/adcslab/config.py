@@ -28,7 +28,7 @@ from pathlib import Path
 from .control import Fidelity
 from .environment import SpacecraftGeometry
 from .harness import STANDALONE_MODES, Scenario, default_scenario
-from .massmodel import CatalogError, load_catalog, read_json_object
+from .massmodel import CatalogError, load_catalog, read_json_object, read_number, read_numbers
 from .quatmath import RPM_TO_RADPS, Quat, Vec3, normalize_canonical, quat_from_euler
 
 __all__ = ["ConfigError", "read_config", "scenario_from_dict", "load_scenario"]
@@ -47,23 +47,14 @@ def _require(obj, typ, where: str):
     return obj
 
 
-def _number(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
+_number = partial(read_number, error=ConfigError)
+_numbers = partial(read_numbers, error=ConfigError)
 
 
 def _boolean(obj, where: str) -> bool:
     if not isinstance(obj, bool):
         raise ConfigError(f"{where}: expected true/false, got {obj!r}")
     return obj
-
-
-def _numbers(obj, n: int, where: str) -> tuple[float, ...]:
-    _require(obj, (list, tuple), where)
-    if len(obj) != n:
-        raise ConfigError(f"{where}: expected {n} numbers, got {len(obj)}")
-    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(obj))
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:

@@ -25,11 +25,11 @@ along the field line is simply not realizable that step).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .quatmath import Quat, Vec3, visfinite
+from .quatmath import Quat, Vec3, visfinite, vnorm
 
 __all__ = [
     "Gains",
@@ -56,6 +56,14 @@ class ZeroFieldError(ValueError):
     """Physical dipole allocation is undefined in a zero magnetic field."""
 
 
+def _check_positive_finite(obj, what: str) -> None:
+    """Raise ValueError unless every field of the dataclass ``obj`` is > 0 and finite."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if not (0.0 < v < math.inf):
+            raise ValueError(f"{what} {f.name} must be > 0 and finite, got {v}")
+
+
 @dataclass(frozen=True, slots=True)
 class Gains:
     """Control gains; all strictly positive.
@@ -70,10 +78,7 @@ class Gains:
     k2: float = 7e-4
 
     def __post_init__(self) -> None:
-        for name in ("kp", "kd", "k1", "k2"):
-            v = getattr(self, name)
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"gain {name} must be > 0 and finite, got {v}")
+        _check_positive_finite(self, "gain")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,11 +91,7 @@ class ActuatorLimits:
     max_wheel_momentum_nms: float = 1e-2
 
     def __post_init__(self) -> None:
-        for name in ("max_dipole_am2", "max_magnetic_torque_nm",
-                     "max_wheel_torque_nm", "max_wheel_momentum_nms"):
-            v = getattr(self, name)
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"limit {name} must be > 0 and finite, got {v}")
+        _check_positive_finite(self, "limit")
 
 
 class Fidelity(Enum):
@@ -136,8 +137,14 @@ class WheelStep(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class ModeThresholds:
+    """Rate magnitudes (rad/s) below which de-tumble and de-spin hand over to
+    nominal; both strictly positive."""
+
     detumble_exit_radps: float = 0.01
     despin_exit_radps: float = 1e-3
+
+    def __post_init__(self) -> None:
+        _check_positive_finite(self, "threshold")
 
 
 def error_state(q: Quat, omega: Vec3, omega_d: Vec3) -> ErrorState:
@@ -258,20 +265,15 @@ def mode_transition(
 
     Autonomous edges: DETUMBLE -> NOMINAL below the de-tumble rate threshold,
     DESPIN -> NOMINAL below the de-spin threshold, and any mode -> SAFE on a
-    non-finite state.  Commanded edges (``command``): NOMINAL -> SPIN,
-    SPIN -> DESPIN, any -> SAFE, and SAFE -> NOMINAL as the explicit release;
-    SAFE ignores everything else.  Commands that do not correspond to an
-    allowed edge are ignored.
+    non-finite state.  A ``command`` is taken when ``ALLOWED_TRANSITIONS[mode]``
+    holds it (NOMINAL -> SPIN, SPIN -> DESPIN, any -> SAFE, and SAFE -> NOMINAL
+    as the explicit release) and ignored otherwise; SAFE has no autonomous exit.
     """
     if not visfinite(omega):
         return Mode.SAFE
-    if command is Mode.SAFE:
-        return Mode.SAFE
-    if mode is Mode.SAFE:
-        return Mode.NOMINAL if command is Mode.NOMINAL else Mode.SAFE
-    if command is not None and command in ALLOWED_TRANSITIONS[mode]:
+    if command in ALLOWED_TRANSITIONS[mode]:
         return command
-    speed = math.sqrt(omega[0] ** 2 + omega[1] ** 2 + omega[2] ** 2)
+    speed = vnorm(omega)
     if mode is Mode.DETUMBLE and speed < thresholds.detumble_exit_radps:
         return Mode.NOMINAL
     if mode is Mode.DESPIN and speed < thresholds.despin_exit_radps:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
 from statistics import fmean
 from typing import Iterable, Sequence, TextIO
@@ -56,10 +56,10 @@ from .environment import (
 from .massmodel import (
     CM_TO_M,
     MassCatalog,
-    MassProperties,
     apply_inertia_floor,
     bundled_catalog,
-    mass_properties,
+    compute_cg,
+    inertia_tensor,
     sample_regolith,
 )
 from .quatmath import (
@@ -73,6 +73,8 @@ from .quatmath import (
     quat_norm,
     quat_to_euler,
     rotate_orbit_to_body,
+    vcross,
+    vdot,
     visfinite,
     vnorm,
 )
@@ -168,7 +170,7 @@ class Scenario:
     name: str = "scenario"
     mode: str = "detumble"
     # mass model
-    catalog: MassCatalog | None = None      # None -> bundled flight catalog
+    catalog: MassCatalog = field(default_factory=bundled_catalog)  # flight, regolith stowed
     regolith_policy: str = "stowed"         # stowed | fixed | sampled
     regolith_fixed_cm: Vec3 | None = None
     min_principal_inertia_kgm2: float = 5e-3
@@ -176,7 +178,7 @@ class Scenario:
     orbit: OrbitConfig = OrbitConfig()
     sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0)
     dipole_tilt_deg: float = 11.5
-    geometry: SpacecraftGeometry | None = None  # None -> 1U x 3.4U box
+    geometry: SpacecraftGeometry = SpacecraftGeometry.box()  # 1U x 3.4U box
     enable_drag: bool = True
     enable_srp: bool = True
     enable_gravity_gradient: bool = True
@@ -211,11 +213,11 @@ class Scenario:
             raise ValueError("regolith policy 'fixed' needs regolith_fixed_cm")
         if self.regolith_policy == "sampled" and self.seed is None:
             raise ValueError("regolith policy 'sampled' needs a seed")
-        catalog = self.catalog if self.catalog is not None else bundled_catalog()
-        if self.regolith_policy != "stowed" and catalog.regolith is None:
+        if self.regolith_policy != "stowed" and self.catalog.regolith is None:
             raise ValueError(f"regolith policy {self.regolith_policy!r} needs a catalog with "
-                             f"a movable regolith component; {catalog.name} has none")
-        if self.regolith_policy == "fixed" and not catalog.chamber.contains(self.regolith_fixed_cm):
+                             f"a movable regolith component; {self.catalog.name} has none")
+        if (self.regolith_policy == "fixed"
+                and not self.catalog.chamber.contains(self.regolith_fixed_cm)):
             raise ValueError(f"fixed regolith position {tuple(self.regolith_fixed_cm)} cm is "
                              "outside the payload chamber")
         if not (self.dt_s > 0.0 and math.isfinite(self.dt_s)):
@@ -295,12 +297,9 @@ def _whole_steps(s: Scenario, name: str) -> int:
 class AssembledScenario:
     """Scenario with the mass model resolved into propagation-ready products."""
 
-    scenario: Scenario
     catalog: MassCatalog            # regolith placed per policy
-    properties: MassProperties      # exact point-mass products (pre-floor)
     inertia: InertiaTensor          # floored, invertible
     cg_m: Vec3                      # CG in meters, structure frame
-    geometry: SpacecraftGeometry
     regolith_position_cm: Vec3 | None
 
 
@@ -312,25 +311,18 @@ def assemble(s: Scenario) -> AssembledScenario:
     minimum principal inertia is enforced as an eigenvalue floor before the
     tensor is handed to the dynamics.
     """
-    catalog = s.catalog if s.catalog is not None else bundled_catalog()
+    catalog = s.catalog
     if s.regolith_policy == "fixed":
         catalog = catalog.with_regolith_at(Vec3(*s.regolith_fixed_cm))
     elif s.regolith_policy == "sampled":
         catalog = catalog.with_regolith_at(
             sample_regolith(catalog.chamber, np.random.default_rng(s.seed)))
-    props = mass_properties(catalog, warn_degenerate=False)
-    floored = apply_inertia_floor(props.inertia_kgm2, s.min_principal_inertia_kgm2)
-    inertia = InertiaTensor(floored)
-    cg_m = Vec3(props.cg_cm[0] * CM_TO_M, props.cg_cm[1] * CM_TO_M,
-                props.cg_cm[2] * CM_TO_M)
-    geometry = s.geometry if s.geometry is not None else SpacecraftGeometry.box()
+    cg_cm = compute_cg(catalog)
     return AssembledScenario(
-        scenario=s,
         catalog=catalog,
-        properties=props,
-        inertia=inertia,
-        cg_m=cg_m,
-        geometry=geometry,
+        inertia=InertiaTensor(apply_inertia_floor(inertia_tensor(catalog),
+                                                  s.min_principal_inertia_kgm2)),
+        cg_m=Vec3(cg_cm[0] * CM_TO_M, cg_cm[1] * CM_TO_M, cg_cm[2] * CM_TO_M),
         regolith_position_cm=None if catalog.regolith is None
         else catalog.regolith.position_cm,
     )
@@ -412,10 +404,6 @@ def _listed(value):
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _speed(omega) -> float:
-    return math.sqrt(omega[0] ** 2 + omega[1] ** 2 + omega[2] ** 2)
-
-
 class _Metrics:
     """Hold times and post-settle maxima, updated one telemetry row at a time.
 
@@ -438,7 +426,7 @@ class _Metrics:
         self.detumble_radps = s.thresholds.detumble_exit_radps
         self.despin_radps = s.thresholds.despin_exit_radps
         self.spin_radps = s.spin_target_rpm * RPM_TO_RADPS
-        self.spin_tol = s.settle_band * _speed((self.spin_radps, 0.0, 0.0))
+        self.spin_tol = s.settle_band * self.spin_radps
         self.align_deg = s.align_tolerance_deg
         self.primary = _PRIMARY_METRIC.get(s.mode)
         self.times: list[float | None] = [0.0, 0.0, 0.0, 0.0]
@@ -446,7 +434,7 @@ class _Metrics:
 
     def add(self, row: tuple) -> None:
         t = row[0]
-        speed = math.sqrt(row[5] ** 2 + row[6] ** 2 + row[7] ** 2)
+        speed = vnorm(row[5:8])
         times = self.times
         if speed >= self.detumble_radps:
             times[0] = None
@@ -468,14 +456,14 @@ class _Metrics:
         if self.primary is not None and times[self.primary] is None:
             self.max_qe = self.max_speed = self.max_cone = 0.0
             return
-        q1, q2, q3 = row[2], row[3], row[4]
-        qe = math.sqrt(q1 ** 2 + q2 ** 2 + q3 ** 2)
+        qe = vnorm(row[2:5])
         if qe > self.max_qe:
             self.max_qe = qe
         if speed > self.max_speed:
             self.max_speed = speed
         # Angle between body z and orbit z: acos(R33), R33 = 1 - 2(q1^2 + q2^2).
-        r33 = 1.0 - 2.0 * (q1 ** 2 + q2 ** 2)
+        q1, q2 = row[2], row[3]
+        r33 = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
         cone = math.degrees(math.acos(min(1.0, max(-1.0, r33))))
         if cone > self.max_cone:
             self.max_cone = cone
@@ -501,7 +489,6 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     """
     asm = assemble(s)
     J = asm.inertia
-    geometry = asm.geometry
     cg_m = asm.cg_m
     cfg = s.orbit
     period = orbit_period(cfg)
@@ -555,7 +542,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     for k in range(n_steps):
         if k % env_every == 0:
             orbit_env = orbit_frame_sample(cfg, state.t, s.sun_inertial, s.dipole_tilt_deg)
-            tau_d = total_disturbance(geometry, orbit_env.to_body(state.q), J, cg_m, include)
+            tau_d = total_disturbance(s.geometry, orbit_env.to_body(state.q), J, cg_m, include)
             if coupling:
                 wf_body = rotate_orbit_to_body(state.q, Vec3(0.0, -n_orb, 0.0))
 
@@ -596,12 +583,10 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         if abs(hw_next) > max_hw:
             max_hw = abs(hw_next)
         if physical:
-            tm = cmd.tau_m
-            tm_norm = math.sqrt(tm[0] ** 2 + tm[1] ** 2 + tm[2] ** 2)
-            b_norm = math.sqrt(b_ctrl[0] ** 2 + b_ctrl[1] ** 2 + b_ctrl[2] ** 2)
+            tm_norm = vnorm(cmd.tau_m)
+            b_norm = vnorm(b_ctrl)
             if tm_norm > 0.0 and b_norm > 0.0:
-                rel = abs(tm[0] * b_ctrl[0] + tm[1] * b_ctrl[1] + tm[2] * b_ctrl[2])
-                rel /= tm_norm * b_norm
+                rel = abs(vdot(cmd.tau_m, b_ctrl)) / (tm_norm * b_norm)
                 if rel > max_tau_b:
                     max_tau_b = rel
 
@@ -620,16 +605,14 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
             # Correct the gyroscopic term for the rotating orbit frame: the
             # propagated omega is relative to it, Euler's equations want the
             # inertial rate.  Zero-order hold over the step, like the control.
-            wx, wy, wz = state.omega
-            wix, wiy, wiz = wx + wf_body[0], wy + wf_body[1], wz + wf_body[2]
-            h_rel = J.dot(state.omega)
-            h_in = J.dot(Vec3(wix, wiy, wiz))
-            jwf = J.dot(Vec3(wy * wf_body[2] - wz * wf_body[1],
-                             wz * wf_body[0] - wx * wf_body[2],
-                             wx * wf_body[1] - wy * wf_body[0]))
-            tx += (wy * h_rel[2] - wz * h_rel[1]) - (wiy * h_in[2] - wiz * h_in[1]) + jwf[0]
-            ty += (wz * h_rel[0] - wx * h_rel[2]) - (wiz * h_in[0] - wix * h_in[2]) + jwf[1]
-            tz += (wx * h_rel[1] - wy * h_rel[0]) - (wix * h_in[1] - wiy * h_in[0]) + jwf[2]
+            w = state.omega
+            w_in = Vec3(w[0] + wf_body[0], w[1] + wf_body[1], w[2] + wf_body[2])
+            g_rel = vcross(w, J.dot(w))
+            g_in = vcross(w_in, J.dot(w_in))
+            jwf = J.dot(vcross(w, wf_body))
+            tx += g_rel[0] - g_in[0] + jwf[0]
+            ty += g_rel[1] - g_in[1] + jwf[1]
+            tz += g_rel[2] - g_in[2] + jwf[2]
 
         # RK4 loses energy to phase error once the rotation per step grows
         # past ~0.1 rad (amplitude factor ~1 - (w*dt)^6/144 on the precession
@@ -637,8 +620,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         # performance.  Keep the torque on its zero-order hold but split the
         # integration into however many substeps keep the phase small; the
         # count depends only on the current rate, so runs stay deterministic.
-        wmag = math.sqrt(state.omega[0] ** 2 + state.omega[1] ** 2
-                         + state.omega[2] ** 2)
+        wmag = vnorm(state.omega)
         n_sub = 1
         if wmag * dt > SUBSTEP_MAX_PHASE_RAD:
             n_sub = min(MAX_SUBSTEPS, math.ceil(wmag * dt / SUBSTEP_MAX_PHASE_RAD))
@@ -654,7 +636,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     detumble_s = hold_times["detumble_time_s"]
     if conops:  # back in nominal with tame rates, schedule fully issued
         converged = (mode is Mode.NOMINAL and sched_i == len(schedule)
-                     and _speed(state.omega) < thresholds.detumble_exit_radps)
+                     and vnorm(state.omega) < thresholds.detumble_exit_radps)
     else:
         converged = metrics.primary_time() is not None
     max_qe, max_speed, max_cone = metrics.post_settle()
@@ -672,7 +654,7 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         **hold_times,
         final_q=state.q,
         final_omega_radps=state.omega,
-        final_speed_radps=_speed(state.omega),
+        final_speed_radps=vnorm(state.omega),
         final_wheel_momentum_nms=state.wheel_momentum,
         max_qe_post_settle=max_qe,
         max_speed_post_settle_radps=max_speed,
@@ -712,9 +694,8 @@ def _mc_scenario(base: Scenario, master_seed: int, index: int,
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, index)))
     updates: dict = {"name": f"{base.name}[{index}]"}
     if "regolith" in vary:
-        chamber = (base.catalog if base.catalog is not None else bundled_catalog()).chamber
         updates["regolith_policy"] = "fixed"
-        updates["regolith_fixed_cm"] = sample_regolith(chamber, rng)
+        updates["regolith_fixed_cm"] = sample_regolith(base.catalog.chamber, rng)
     if "omega" in vary:
         lo, hi = omega_rpm_range
         w = rng.uniform(lo, hi, 3) * RPM_TO_RADPS

@@ -16,16 +16,15 @@ meters inside the inertia assembly, so the returned tensors are kg*m^2.
 
 A catalog whose masses are collinear (the bundled stack with the regolith
 stowed on the z axis is one) has a singular inertia tensor about that line.
-That is reported -- via the ``degenerate`` flag and a
-:class:`DegenerateCatalogWarning` -- rather than silently accepted; closed
-loop scenarios condition the tensor with :func:`apply_inertia_floor` before
-propagating.
+:func:`mass_properties` reports it in its ``degenerate`` flag, which the
+``adcslab inertia`` report prints; closed-loop scenarios condition the tensor
+with :func:`apply_inertia_floor` before propagating.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
+import math
 from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
@@ -33,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .quatmath import Vec3
+from .quatmath import Vec3, visfinite
 
 __all__ = [
     "MassComponent",
@@ -42,7 +41,6 @@ __all__ = [
     "MassProperties",
     "CornerEnvelope",
     "CatalogError",
-    "DegenerateCatalogWarning",
     "compute_cg",
     "recentre",
     "inertia_tensor",
@@ -50,6 +48,8 @@ __all__ = [
     "corner_envelope",
     "sample_regolith",
     "apply_inertia_floor",
+    "read_number",
+    "read_numbers",
     "read_json_object",
     "load_catalog",
     "bundled_catalog",
@@ -67,10 +67,6 @@ class CatalogError(ValueError):
     """A mass catalog file or structure is invalid."""
 
 
-class DegenerateCatalogWarning(UserWarning):
-    """All catalog mass is collinear; inertia is singular about that line."""
-
-
 @dataclass(frozen=True, slots=True)
 class MassComponent:
     name: str
@@ -80,8 +76,10 @@ class MassComponent:
     def __post_init__(self) -> None:
         if not self.name:
             raise CatalogError("component name must be non-empty")
-        if not (self.mass_kg > 0.0):
-            raise CatalogError(f"{self.name}: mass must be > 0, got {self.mass_kg}")
+        if not (0.0 < self.mass_kg < math.inf):
+            raise CatalogError(f"{self.name}: mass must be > 0 and finite, got {self.mass_kg}")
+        if not visfinite(self.position_cm):
+            raise CatalogError(f"{self.name}: position must be finite, got {self.position_cm}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,8 +93,9 @@ class ChamberBounds:
     def __post_init__(self) -> None:
         for axis in ("x", "y", "z"):
             lo, hi = getattr(self, axis)
-            if not (lo < hi):
-                raise CatalogError(f"chamber {axis} bounds must satisfy min < max, got {(lo, hi)}")
+            if not (-math.inf < lo < hi < math.inf):
+                raise CatalogError(
+                    f"chamber {axis} bounds must be finite with min < max, got {(lo, hi)}")
 
     def contains(self, p: Vec3) -> bool:
         return (self.x[0] <= p[0] <= self.x[1]
@@ -201,19 +200,12 @@ class MassProperties:
     degenerate: bool
 
 
-def mass_properties(catalog: MassCatalog, warn_degenerate: bool = True) -> MassProperties:
-    """Total mass, CG, and inertia; flags (and warns on) degenerate catalogs."""
+def mass_properties(catalog: MassCatalog) -> MassProperties:
+    """Total mass, CG, and inertia; flags degenerate (collinear) catalogs."""
     cg = compute_cg(catalog)
     J = inertia_tensor(catalog)
     eig = np.linalg.eigvalsh(0.5 * (J + J.T))
     degenerate = bool(eig[0] <= _DEGENERATE_REL_TOL * max(eig[-1], 0.0))
-    if degenerate and warn_degenerate:
-        warnings.warn(
-            f"{catalog.name}: all mass is collinear; inertia is singular about "
-            "that axis and cannot drive three-axis dynamics without conditioning",
-            DegenerateCatalogWarning,
-            stacklevel=2,
-        )
     return MassProperties(catalog.total_mass_kg, cg, J, degenerate)
 
 
@@ -237,8 +229,7 @@ class CornerEnvelope:
 def corner_envelope(catalog: MassCatalog) -> CornerEnvelope:
     results = []
     for corner in catalog.chamber.corners():
-        props = mass_properties(catalog.with_regolith_at(corner), warn_degenerate=False)
-        results.append((corner, props))
+        results.append((corner, mass_properties(catalog.with_regolith_at(corner))))
     cgs = np.array([p.cg_cm for _, p in results])
     js = np.array([p.inertia_kgm2 for _, p in results])
     return CornerEnvelope(
@@ -279,26 +270,15 @@ def apply_inertia_floor(J: np.ndarray, floor_kgm2: float) -> np.ndarray:
 # Catalog files
 # ---------------------------------------------------------------------------
 
-def _vec3_from(obj, where: str) -> Vec3:
-    if (not isinstance(obj, (list, tuple))) or len(obj) != 3:
-        raise CatalogError(f"{where}: expected a 3-element [x, y, z] list, got {obj!r}")
-    try:
-        return Vec3(float(obj[0]), float(obj[1]), float(obj[2]))
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{where}: non-numeric entry in {obj!r}") from exc
-
-
 def _component_from(obj, where: str) -> MassComponent:
     if not isinstance(obj, dict):
         raise CatalogError(f"{where}: expected an object, got {obj!r}")
     for key in ("name", "mass_kg", "position_cm"):
         if key not in obj:
             raise CatalogError(f"{where}: missing required key '{key}'")
-    try:
-        mass = float(obj["mass_kg"])
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"{where}.mass_kg: expected a number, got {obj['mass_kg']!r}") from exc
-    return MassComponent(str(obj["name"]), mass, _vec3_from(obj["position_cm"], f"{where}.position_cm"))
+    mass = read_number(obj["mass_kg"], f"{where}.mass_kg", CatalogError)
+    position = read_numbers(obj["position_cm"], 3, f"{where}.position_cm", CatalogError)
+    return MassComponent(str(obj["name"]), mass, Vec3(*position))
 
 
 def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
@@ -316,13 +296,27 @@ def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
         ch = data["chamber_cm"]
         if not isinstance(ch, dict) or set(ch) != {"x", "y", "z"}:
             raise CatalogError("chamber_cm must be an object with 'x', 'y', 'z' ranges")
-        def _pair(axis):
-            v = ch[axis]
-            if not isinstance(v, (list, tuple)) or len(v) != 2:
-                raise CatalogError(f"chamber_cm.{axis}: expected [min, max]")
-            return (float(v[0]), float(v[1]))
-        chamber = ChamberBounds(x=_pair("x"), y=_pair("y"), z=_pair("z"))
+        chamber = ChamberBounds(**{axis: read_numbers(ch[axis], 2, f"chamber_cm.{axis}",
+                                                      CatalogError) for axis in ch})
     return MassCatalog(components, regolith, chamber, name=str(data.get("name", name)))
+
+
+def read_number(obj, where: str, error: type[ValueError]) -> float:
+    """``obj`` as a float; JSON booleans and strings are not numbers and raise
+    ``error`` naming ``where``, as does an integer beyond the float range."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise error(f"{where}: expected a number, got {obj!r}")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise error(f"{where}: integer out of the float range") from None
+
+
+def read_numbers(obj, n: int, where: str, error: type[ValueError]) -> tuple[float, ...]:
+    """A JSON list of ``n`` numbers, each read by :func:`read_number`."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != n:
+        raise error(f"{where}: expected a list of {n} numbers, got {obj!r}")
+    return tuple(read_number(v, f"{where}[{i}]", error) for i, v in enumerate(obj))
 
 
 def read_json_object(path, what: str, error: type[ValueError]) -> dict:

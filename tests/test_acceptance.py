@@ -151,7 +151,7 @@ def test_torque_free_propagation_conserves_energy_and_momentum():
     the tensor is invertible), the initial rate is a seeded random draw,
     and the quaternion must stay within 1e-9 of unit length at every step.
     """
-    props = mass_properties(bundled_catalog(), warn_degenerate=False)
+    props = mass_properties(bundled_catalog())
     floored = apply_inertia_floor(props.inertia_kgm2, 5e-3)
     assert floored[0, 0] == pytest.approx(0.015641505454545453, rel=1e-12)
     assert floored[2, 2] == pytest.approx(5e-3, rel=1e-12)

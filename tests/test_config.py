@@ -99,6 +99,12 @@ def test_thresholds_and_booleans():
         scenario_from_dict({"sim": {"enable_drag": 1}})
 
 
+def test_thresholds_must_be_positive_and_finite():
+    for bad in ({"detumble_exit_radps": -1.0}, {"despin_exit_radps": 0}):
+        with pytest.raises(ConfigError, match="mode.thresholds"):
+            scenario_from_dict({"mode": {"mode": "conops", "thresholds": bad}})
+
+
 def test_seed_must_be_an_integer():
     assert scenario_from_dict({"sim": {"seed": 7}}).seed == 7
     with pytest.raises(ConfigError, match="sim.seed"):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +56,13 @@ def test_limits_must_be_positive_and_finite():
         ActuatorLimits(max_dipole_am2=0.0)
     with pytest.raises(ValueError, match="limit"):
         ActuatorLimits(max_wheel_momentum_nms=-1e-2)
+
+
+def test_thresholds_must_be_positive_and_finite():
+    for bad in (dict(detumble_exit_radps=-1.0), dict(detumble_exit_radps=0.0),
+                dict(despin_exit_radps=float("nan")), dict(despin_exit_radps=float("inf"))):
+        with pytest.raises(ValueError, match="threshold"):
+            ModeThresholds(**bad)
 
 
 # ------------------------------------------------------------- error state
@@ -270,6 +279,32 @@ def test_nonfinite_rates_trip_safe_from_anywhere():
     bad = Vec3(float("nan"), 0.0, 0.0)
     for mode in Mode:
         assert mode_transition(mode, bad, THRESHOLDS) is Mode.SAFE
+
+
+def test_every_transition_follows_the_table():
+    """Every mode, every command (None too) and slow, middling, fast and
+    non-finite rates: a non-finite rate trips SAFE, a command the table
+    allows is taken, and otherwise only de-tumble and de-spin leave on their
+    own, below their rate thresholds."""
+    documented = {(Mode.NOMINAL, Mode.SPIN), (Mode.SPIN, Mode.DESPIN), (Mode.SAFE, Mode.NOMINAL)}
+    assert all(new in ALLOWED_TRANSITIONS[old] for old, new in documented)
+    exits = {Mode.DETUMBLE: THRESHOLDS.detumble_exit_radps,
+             Mode.DESPIN: THRESHOLDS.despin_exit_radps}
+    for mode in Mode:
+        for command in (None, *Mode):
+            for rate in (5e-4, 5e-3, 0.05, math.inf, -math.inf, math.nan):
+                got = mode_transition(mode, Vec3(0.0, rate, 0.0), THRESHOLDS, command)
+                if not math.isfinite(rate):
+                    expected = Mode.SAFE
+                elif command in ALLOWED_TRANSITIONS[mode]:
+                    expected = command
+                elif mode in exits and abs(rate) < exits[mode]:
+                    expected = Mode.NOMINAL
+                else:
+                    expected = mode
+                assert got is expected, (mode, command, rate)
+                assert command is not Mode.SAFE or got is Mode.SAFE
+                assert mode is not Mode.SAFE or got in (Mode.SAFE, Mode.NOMINAL)
 
 
 def test_transition_table_is_reflexive_and_safe_reachable():

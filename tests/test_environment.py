@@ -421,7 +421,7 @@ def test_total_include_flags_isolate_each_term():
 
 def test_disturbance_budget_for_bundled_spacecraft():
     """Summed disturbance stays well under 1e-5 N*m everywhere on the orbit."""
-    props = mass_properties(bundled_catalog(), warn_degenerate=False)
+    props = mass_properties(bundled_catalog())
     cg_m = Vec3(props.cg_cm.x * 0.01, props.cg_cm.y * 0.01, props.cg_cm.z * 0.01)
     geom = SpacecraftGeometry.box()
     q = quat_from_euler(30.0, 20.0, 10.0)

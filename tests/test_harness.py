@@ -21,7 +21,13 @@ from adcslab.harness import (
     run_scenario,
     run_scenario_metrics,
 )
-from adcslab.massmodel import MassCatalog, MassComponent, bundled_catalog, sample_regolith
+from adcslab.massmodel import (
+    MassCatalog,
+    MassComponent,
+    bundled_catalog,
+    inertia_tensor,
+    sample_regolith,
+)
 from adcslab.quatmath import RPM_TO_RADPS, Quat, Vec3, quat_from_euler, vnorm
 
 PERIOD = orbit_period(OrbitConfig())
@@ -115,7 +121,7 @@ def test_assemble_defaults_to_the_stowed_flight_catalog():
     assert asm.regolith_position_cm == Vec3(0.0, 0.0, 14.0)
     assert asm.cg_m.z == pytest.approx(-0.007909090909090909, rel=1e-12)
     # the exact stack is collinear; the floor makes the z axis propagatable
-    assert min(asm.properties.inertia_kgm2.diagonal()) == pytest.approx(0.0, abs=1e-15)
+    assert min(inertia_tensor(asm.catalog).diagonal()) == pytest.approx(0.0, abs=1e-15)
     assert min(asm.inertia.principal_moments) == pytest.approx(5e-3, rel=1e-12)
 
 

@@ -1,5 +1,4 @@
 import json
-import warnings
 from fractions import Fraction
 from importlib import resources
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from adcslab.massmodel import (
     CatalogError,
     ChamberBounds,
-    DegenerateCatalogWarning,
     MassCatalog,
     MassComponent,
     apply_inertia_floor,
@@ -215,16 +213,8 @@ def test_bundled_catalog_inertia_matches_exact_oracle():
     assert abs(J[2, 2]) < 1e-18
 
 
-def test_bundled_catalog_is_degenerate_and_warns():
-    cat = bundled_catalog()
-    with pytest.warns(DegenerateCatalogWarning):
-        props = mass_properties(cat)
-    assert props.degenerate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # silence expected: no warning allowed
-        props = mass_properties(cat, warn_degenerate=False)
-    assert props.degenerate
+def test_bundled_catalog_is_degenerate():
+    assert mass_properties(bundled_catalog()).degenerate
 
 
 # ------------------------------------------------------------ corner envelope
@@ -260,7 +250,7 @@ def test_envelope_bounds_interior_placements():
     env = corner_envelope(cat)
     for seed in range(200):
         pos = sample_regolith(cat.chamber, np.random.default_rng(seed))
-        props = mass_properties(cat.with_regolith_at(pos), warn_degenerate=False)
+        props = mass_properties(cat.with_regolith_at(pos))
         cg, J = props.cg_cm, props.inertia_kgm2
         for axis in range(3):
             assert env.cg_min_cm[axis] - 1e-12 <= cg[axis] <= env.cg_max_cm[axis] + 1e-12
@@ -321,6 +311,41 @@ def test_catalog_rejects_duplicate_names():
 def test_catalog_rejects_nonpositive_mass():
     with pytest.raises(CatalogError, match="mass"):
         MassComponent("bad", 0.0, Vec3(0, 0, 0))
+
+
+def _one_component(**entry) -> dict:
+    return {"components": [{"name": "a", "mass_kg": 1.0, "position_cm": [0, 0, 0], **entry}]}
+
+
+@pytest.mark.parametrize("data, where", [
+    (_one_component(mass_kg=True), "mass_kg"),
+    (_one_component(mass_kg="2.5"), "mass_kg"),
+    (_one_component(position_cm=["1", "2", False]), r"position_cm\[0\]"),
+    (_one_component(position_cm=[1, 2, False]), r"position_cm\[2\]"),
+    ({**_one_component(), "chamber_cm": {"x": [-4, 4], "y": [-4, "4"], "z": [0, 18]}},
+     r"chamber_cm.y\[1\]"),
+], ids=("bool", "string", "string-entries", "bool-entry", "chamber-string"))
+def test_catalog_values_must_be_numbers(data, where):
+    with pytest.raises(CatalogError, match=f"{where}: expected a number"):
+        catalog_from_dict(data)
+
+
+def test_catalog_values_must_be_finite():
+    for text in ('{"mass_kg": 1e400}', '{"position_cm": [0, 0, 1e400]}'):
+        with pytest.raises(CatalogError, match="finite"):
+            catalog_from_dict(_one_component(**json.loads(text)))
+    chamber = json.loads('{"x": [-Infinity, 4], "y": [-4, 4], "z": [0, 18]}')
+    with pytest.raises(CatalogError, match="finite"):
+        catalog_from_dict({**_one_component(), "chamber_cm": chamber})
+    with pytest.raises(CatalogError, match="out of the float range"):
+        catalog_from_dict(_one_component(mass_kg=10 ** 400))
+    # in-memory catalogs too
+    with pytest.raises(CatalogError, match="finite"):
+        MassComponent("a", float("inf"), Vec3(0.0, 0.0, 0.0))
+    with pytest.raises(CatalogError, match="finite"):
+        MassComponent("a", 1.0, Vec3(0.0, float("nan"), 0.0))
+    with pytest.raises(CatalogError, match="finite"):
+        ChamberBounds(x=(-4.0, float("inf")), y=(-4.0, 4.0), z=(0.0, 18.0))
 
 
 def test_catalog_reports_offending_key():

@@ -6,7 +6,7 @@ mode, initial state, and integration settings.  :func:`run_scenario` steps the
 closed loop
 
     sample environment -> disturbance torques -> mode controller ->
-    actuator models -> RK4 over (q, omega)
+    actuator models -> kick-drift-kick splitting over (q, omega)
 
 and returns decimated telemetry plus a :class:`RunResult` of metrics.  The
 hold times and post-settle maxima are taken from the telemetry rows as they
@@ -116,11 +116,12 @@ ROD_EFFECTIVE_TORQUE_NM = 2.2e-6
 REFERENCE_DETUMBLE_ORBITS = {30: 5.32, 35: 5.77, 40: 6.05, 45: 6.43, 50: 6.93, 55: 7.10, 60: 7.60}
 
 # Largest rotation (rad) allowed per integrator substep.  The control torque
-# holds for the full control period dt; the attitude integration inside it is
-# subdivided whenever |omega|*dt exceeds this, so fast tumbles are resolved
-# instead of numerically damped.  MAX_SUBSTEPS only guards against an absurd
-# rate blowing up the step count before the divergence check would trip.
-SUBSTEP_MAX_PHASE_RAD = 0.1
+# holds for the full control period dt; the splitting step inside it is exact
+# for the torque-free tumble of an axisymmetric body, so the substeps resolve
+# the asymmetric part of the nutation and the held torque's coupling to it,
+# both second order in the substep.  A rate that needs more than
+# MAX_SUBSTEPS substeps is reported as a divergence.
+SUBSTEP_MAX_PHASE_RAD = 0.5
 MAX_SUBSTEPS = 128
 
 TELEMETRY_COLUMNS = (
@@ -614,16 +615,14 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
             ty += g_rel[1] - g_in[1] + jwf[1]
             tz += g_rel[2] - g_in[2] + jwf[2]
 
-        # RK4 loses energy to phase error once the rotation per step grows
-        # past ~0.1 rad (amplitude factor ~1 - (w*dt)^6/144 on the precession
-        # dynamics), which at tumble rates would masquerade as control
-        # performance.  Keep the torque on its zero-order hold but split the
-        # integration into however many substeps keep the phase small; the
-        # count depends only on the current rate, so runs stay deterministic.
-        wmag = vnorm(state.omega)
-        n_sub = 1
-        if wmag * dt > SUBSTEP_MAX_PHASE_RAD:
-            n_sub = min(MAX_SUBSTEPS, math.ceil(wmag * dt / SUBSTEP_MAX_PHASE_RAD))
+        # The substep count depends only on the current rate, so runs stay
+        # deterministic.
+        phases = vnorm(state.omega) * dt / SUBSTEP_MAX_PHASE_RAD
+        if not phases <= MAX_SUBSTEPS:
+            raise DivergenceError(k, state.t, mode.value,
+                                  f"|omega| = {vnorm(state.omega):.6g} rad/s needs more "
+                                  f"than {MAX_SUBSTEPS} substeps")
+        n_sub = math.ceil(phases) if phases > 1.0 else 1
         try:
             nxt = propagate(state, J, Vec3(tx, ty, tz), dt, n_sub)
         except NonFiniteStateError as exc:

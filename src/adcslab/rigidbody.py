@@ -1,22 +1,31 @@
 """Rigid-body attitude state and fixed-step propagation.
 
 The propagated state couples the attitude quaternion (body relative to orbit
-frame) with the body angular rate.  Dynamics follow Euler's equations with the
-inverse inertia applied to the whole torque balance::
+frame) with the body angular rate.  Dynamics follow Euler's equations for the
+body angular momentum ``H = J omega`` under a torque held over the step::
 
-    omega_dot = J^-1 * ( -omega x (J omega) + tau_control + tau_disturbance )
+    H_dot = H x omega + tau_control + tau_disturbance
 
 and the quaternion kinematics ``qdot = 0.5 * Omega(omega) * q`` (see
-:mod:`adcslab.quatmath`).  Integration is classical fixed-step RK4 over the
-combined state; the quaternion is renormalized and sign-canonicalized after
-every substep, which keeps the norm at machine precision without touching the
-rate dynamics.
+:mod:`adcslab.quatmath`).
 
-:func:`propagate` is the package's one integrator: it runs a whole control
-period of RK4 substeps under a constant torque on plain local floats.  Its
-reference, a textbook RK4 step on a dynamics closure, lives with the tests in
-``tests/oracles.py``; a property test there holds the two equal bit for bit,
-so a change to the dynamics must be made in both.
+:func:`propagate` is the package's one integrator: a kick-drift-kick splitting
+in the principal frame.  Each substep adds half the torque impulse to ``H``,
+runs the torque-free flow, and adds the other half.  The free flow is split
+into a rotation about ``H`` by ``|H| h / I2`` (the flow of the Casimir
+``|H|^2 / 2 I2``, with ``I2`` the middle principal moment) and the symmetric
+sequence ``R1(h/2) R3(h) R1(h/2)`` of rotations about the other two principal
+axes (Dullweber, Leimkuhler & McLachlan, J. Chem. Phys. 107, 1997).  Every
+rotation turns ``H`` and updates ``q`` by an exact quaternion product, so
+``|H|`` is kept to rounding and the step is second order.  For an
+axisymmetric tensor ``R3`` has a zero coefficient, the two ``R1`` halves
+merge, and the torque-free step is exact for any step size.  The quaternion
+is renormalized and sign-canonicalized once per call.
+
+Its reference, the same step written with quaternion helpers, lives with the
+tests in ``tests/oracles.py`` with a textbook RK4 as the accuracy reference;
+a property test holds the step equal to its reference bit for bit, so a
+change to the dynamics must be made in both.
 """
 
 from __future__ import annotations
@@ -61,9 +70,16 @@ class InertiaTensor:
     inequality on the principal moments; a matrix that fails positive
     definiteness raises :class:`SingularInertiaError` so a degenerate mass
     catalog surfaces before any propagation is attempted.
+
+    The principal frame the integrator steps in is kept from the same
+    eigendecomposition: ``principal_moments`` with the middle one second,
+    ``principal_axes`` (unit structure-frame vectors, right-handed), and
+    ``principal_frame``, the quaternion whose rotation matrix has those axes
+    as columns.  When two moments are equal they are the second and third,
+    so the integrator's third rotation has a zero coefficient.
     """
 
-    __slots__ = ("_m", "rows", "inverse_rows", "_eigvals")
+    __slots__ = ("_m", "rows", "principal_moments", "principal_axes", "principal_frame")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=float)
@@ -76,8 +92,7 @@ class InertiaTensor:
             raise SingularInertiaError("inertia tensor is identically zero")
         if float(np.abs(m - m.T).max()) > 1e-12 * scale:
             raise ValueError("inertia tensor must be symmetric to 1e-12 relative")
-        sym = 0.5 * (m + m.T)
-        eigvals = np.linalg.eigvalsh(sym)
+        eigvals, axes = np.linalg.eigh(0.5 * (m + m.T))
         if eigvals[0] <= 1e-12 * eigvals[-1]:
             raise SingularInertiaError(
                 f"inertia tensor is singular or indefinite (eigenvalues {eigvals})"
@@ -88,11 +103,17 @@ class InertiaTensor:
             raise ValueError(
                 f"principal moments violate the triangle inequality: {eigvals}"
             )
+        if np.linalg.det(axes) < 0.0:
+            axes[:, 0] = -axes[:, 0]
+        # Ascending keeps the middle moment second; a cyclic shift keeps the
+        # frame right-handed and moves an equal pair to the second and third.
+        order = [2, 0, 1] if e1 == e2 != e3 else [0, 1, 2]
+        axes = axes[:, order]
         self._m = m
-        self._eigvals = eigvals
-        inv = np.linalg.inv(m)
+        self.principal_moments = tuple(float(eigvals[k]) for k in order)
+        self.principal_axes = tuple(Vec3(*map(float, axes[:, k])) for k in range(3))
+        self.principal_frame = _quat_from_matrix(axes)
         self.rows = tuple(tuple(float(x) for x in row) for row in m)
-        self.inverse_rows = tuple(tuple(float(x) for x in row) for row in inv)
 
     @classmethod
     def diagonal(cls, jxx: float, jyy: float, jzz: float) -> "InertiaTensor":
@@ -101,10 +122,6 @@ class InertiaTensor:
     @property
     def matrix(self) -> np.ndarray:
         return self._m.copy()
-
-    @property
-    def principal_moments(self) -> tuple[float, float, float]:
-        return tuple(float(v) for v in self._eigvals)
 
     def dot(self, v: Vec3) -> Vec3:
         (a, b, c), (d, e, f), (g, h, i) = self.rows
@@ -116,142 +133,146 @@ class InertiaTensor:
         return f"InertiaTensor({self._m.tolist()})"
 
 
+def _quat_from_matrix(r: np.ndarray) -> Quat:
+    """The unit quaternion, ``q0 >= 0``, whose rotation matrix is ``r``.
+
+    It is the top eigenvector of the symmetric 4x4 matrix below, which is
+    ``4 q q^T - I`` up to scale (Bar-Itzhack, JGCD 23(6), 2000).
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    k = np.array([[r00 + r11 + r22, r21 - r12, r02 - r20, r10 - r01],
+                  [r21 - r12, r00 - r11 - r22, r01 + r10, r02 + r20],
+                  [r02 - r20, r01 + r10, r11 - r00 - r22, r12 + r21],
+                  [r10 - r01, r02 + r20, r12 + r21, r22 - r00 - r11]])
+    q = np.linalg.eigh(k)[1][:, -1]
+    q = q / np.linalg.norm(q) * (1.0 if q[0] >= 0.0 else -1.0)
+    return Quat(*map(float, q))
+
+
 def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
               n_sub: int = 1) -> AttitudeState:
-    """Integrate over ``dt`` with ``n_sub`` equal RK4 substeps, fused.
+    """Integrate over ``dt`` with ``n_sub`` equal kick-drift-kick substeps.
 
-    Bit-for-bit the same as ``n_sub`` calls of the reference ``rk4_step`` in
-    ``tests/oracles.py`` with step ``dt / n_sub``: the arithmetic runs in the
-    same order, on plain local floats, with the renormalization and
-    canonical sign flip after every substep, and no tuple is built until the
-    end.  This is the simulation hot path.
+    ``torque`` (body frame) is held over ``dt``.  The state moves to the
+    principal frame once, runs the substeps on plain local floats, and moves
+    back; ``propagate_reference`` in ``tests/oracles.py`` is the same step
+    written with quaternion helpers and must match it bit for bit.  For an
+    axisymmetric tensor the choice of the one-rotation drift is made once
+    per call.  This is the simulation hot path.
 
     Raises:
         ValueError: on a non-positive or non-finite ``dt``, or ``n_sub < 1``.
-        NonFiniteStateError: if any component leaves the finite domain: a
-            non-finite state after a substep, or a quaternion norm that
-            overflows.
+        NonFiniteStateError: if the momentum or the quaternion norm leaves
+            the finite domain.
     """
     if not (dt > 0.0) or not math.isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_sub < 1:
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
-    (a, b, c), (d, e, f), (g, h, i) = J.rows
-    (p, qq, r), (s, u, v), (x, y, z) = J.inverse_rows
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = J.principal_axes
+    i1, i2, i3 = J.principal_moments
+    e0, e1, e2, e3 = J.principal_frame
     tx, ty, tz = torque
-    q0, q1, q2, q3 = state.q
     wx, wy, wz = state.omega
-    t = state.t
-    dt = dt / n_sub  # the substep length from here on
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    sqrt = math.sqrt
-    isfinite = math.isfinite
+    q0, q1, q2, q3 = state.q
+    step = dt / n_sub
+    sqrt, cos, sin = math.sqrt, math.cos, math.sin
 
-    for _ in range(n_sub):
-        # k1 at (q, w)
-        k1q0 = 0.5 * (-wx * q1 - wy * q2 - wz * q3)
-        k1q1 = 0.5 * (wx * q0 + wz * q2 - wy * q3)
-        k1q2 = 0.5 * (wy * q0 - wz * q1 + wx * q3)
-        k1q3 = 0.5 * (wz * q0 + wy * q1 - wx * q2)
-        hx = a * wx + b * wy + c * wz
-        hy = d * wx + e * wy + f * wz
-        hz = g * wx + h * wy + i * wz
-        gx = tx - (wy * hz - wz * hy)
-        gy = ty - (wz * hx - wx * hz)
-        gz = tz - (wx * hy - wy * hx)
-        k1wx = p * gx + qq * gy + r * gz
-        k1wy = s * gx + u * gy + v * gz
-        k1wz = x * gx + y * gy + z * gz
+    # Into the principal frame: H = diag(I) V^T omega, the half-step torque
+    # impulse V^T tau step / 2, and the attitude of the principal axes q (x) e.
+    h1 = i1 * (ax * wx + ay * wy + az * wz)
+    h2 = i2 * (bx * wx + by * wy + bz * wz)
+    h3 = i3 * (cx * wx + cy * wy + cz * wz)
+    kick = 0.5 * step
+    k1 = kick * (ax * tx + ay * ty + az * tz)
+    k2 = kick * (bx * tx + by * ty + bz * tz)
+    k3 = kick * (cx * tx + cy * ty + cz * tz)
+    q0, q1, q2, q3 = (q0 * e0 - q1 * e1 - q2 * e2 - q3 * e3,
+                      q0 * e1 + q1 * e0 + q2 * e3 - q3 * e2,
+                      q0 * e2 - q1 * e3 + q2 * e0 + q3 * e1,
+                      q0 * e3 + q1 * e2 - q2 * e1 + q3 * e0)
+    # Half rotation angles per unit momentum: the Casimir rotation over the
+    # substep, R1 over half of it and R3 over all of it.
+    casimir = 0.5 * step / i2
+    r1 = 0.25 * step * (1.0 / i1 - 1.0 / i2)
+    r3 = 0.5 * step * (1.0 / i3 - 1.0 / i2)
+    merged = r3 == 0.0  # I2 == I3: R1(h/2) R1(h/2) is one R1(h)
+    if merged:
+        r1 = r1 + r1
 
-        # k2 at the midpoint along k1
-        sq0 = q0 + half * k1q0
-        sq1 = q1 + half * k1q1
-        sq2 = q2 + half * k1q2
-        sq3 = q3 + half * k1q3
-        swx = wx + half * k1wx
-        swy = wy + half * k1wy
-        swz = wz + half * k1wz
-        k2q0 = 0.5 * (-swx * sq1 - swy * sq2 - swz * sq3)
-        k2q1 = 0.5 * (swx * sq0 + swz * sq2 - swy * sq3)
-        k2q2 = 0.5 * (swy * sq0 - swz * sq1 + swx * sq3)
-        k2q3 = 0.5 * (swz * sq0 + swy * sq1 - swx * sq2)
-        hx = a * swx + b * swy + c * swz
-        hy = d * swx + e * swy + f * swz
-        hz = g * swx + h * swy + i * swz
-        gx = tx - (swy * hz - swz * hy)
-        gy = ty - (swz * hx - swx * hz)
-        gz = tz - (swx * hy - swy * hx)
-        k2wx = p * gx + qq * gy + r * gz
-        k2wy = s * gx + u * gy + v * gz
-        k2wz = x * gx + y * gy + z * gz
+    try:
+        for _ in range(n_sub):
+            h1 = h1 + k1
+            h2 = h2 + k2
+            h3 = h3 + k3
+            hn = sqrt(h1 * h1 + h2 * h2 + h3 * h3)
+            if hn > 0.0:
+                a = hn * casimir
+                c = cos(a)
+                s = sin(a) / hn
+                x = s * h1
+                y = s * h2
+                z = s * h3
+                q0, q1, q2, q3 = (q0 * c - q1 * x - q2 * y - q3 * z,
+                                  q0 * x + q1 * c + q2 * z - q3 * y,
+                                  q0 * y - q1 * z + q2 * c + q3 * x,
+                                  q0 * z + q1 * y - q2 * x + q3 * c)
+            a = r1 * h1
+            c = cos(a)
+            s = sin(a)
+            cc = c * c - s * s
+            ss = 2.0 * s * c
+            h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
+            q0, q1, q2, q3 = q0 * c - q1 * s, q0 * s + q1 * c, q2 * c + q3 * s, q3 * c - q2 * s
+            if not merged:
+                a = r3 * h3
+                c = cos(a)
+                s = sin(a)
+                cc = c * c - s * s
+                ss = 2.0 * s * c
+                h1, h2 = cc * h1 + ss * h2, cc * h2 - ss * h1
+                q0, q1, q2, q3 = q0 * c - q3 * s, q1 * c + q2 * s, q2 * c - q1 * s, q0 * s + q3 * c
+                a = r1 * h1
+                c = cos(a)
+                s = sin(a)
+                cc = c * c - s * s
+                ss = 2.0 * s * c
+                h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
+                q0, q1, q2, q3 = (q0 * c - q1 * s, q0 * s + q1 * c,
+                                  q2 * c + q3 * s, q3 * c - q2 * s)
+            h1 = h1 + k1
+            h2 = h2 + k2
+            h3 = h3 + k3
+    except ValueError as exc:  # math.cos and math.sin of an infinite angle
+        raise _runaway(state.t, step) from exc
 
-        # k3 at the midpoint along k2
-        sq0 = q0 + half * k2q0
-        sq1 = q1 + half * k2q1
-        sq2 = q2 + half * k2q2
-        sq3 = q3 + half * k2q3
-        swx = wx + half * k2wx
-        swy = wy + half * k2wy
-        swz = wz + half * k2wz
-        k3q0 = 0.5 * (-swx * sq1 - swy * sq2 - swz * sq3)
-        k3q1 = 0.5 * (swx * sq0 + swz * sq2 - swy * sq3)
-        k3q2 = 0.5 * (swy * sq0 - swz * sq1 + swx * sq3)
-        k3q3 = 0.5 * (swz * sq0 + swy * sq1 - swx * sq2)
-        hx = a * swx + b * swy + c * swz
-        hy = d * swx + e * swy + f * swz
-        hz = g * swx + h * swy + i * swz
-        gx = tx - (swy * hz - swz * hy)
-        gy = ty - (swz * hx - swx * hz)
-        gz = tz - (swx * hy - swy * hx)
-        k3wx = p * gx + qq * gy + r * gz
-        k3wy = s * gx + u * gy + v * gz
-        k3wz = x * gx + y * gy + z * gz
+    # Back to the structure frame: q (x) conj(e) and omega = V diag(I)^-1 H.
+    e1, e2, e3 = -e1, -e2, -e3
+    q0, q1, q2, q3 = (q0 * e0 - q1 * e1 - q2 * e2 - q3 * e3,
+                      q0 * e1 + q1 * e0 + q2 * e3 - q3 * e2,
+                      q0 * e2 - q1 * e3 + q2 * e0 + q3 * e1,
+                      q0 * e3 + q1 * e2 - q2 * e1 + q3 * e0)
+    n = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if not (n > 0.0 and math.isfinite(n + h1 + h2 + h3)):
+        raise _runaway(state.t, step)
+    q0 = q0 / n
+    q1 = q1 / n
+    q2 = q2 / n
+    q3 = q3 / n
+    # canonical_sign: q0 >= 0, else the first nonzero of (q1, q2, q3) > 0
+    if q0 < 0.0 or (q0 == 0.0 and (q1 < 0.0 or (q1 == 0.0 and (
+            q2 < 0.0 or (q2 == 0.0 and q3 < 0.0))))):
+        q0, q1, q2, q3 = -q0, -q1, -q2, -q3
+    w1 = h1 / i1
+    w2 = h2 / i2
+    w3 = h3 / i3
+    return AttitudeState(
+        Quat(q0 + 0.0, q1 + 0.0, q2 + 0.0, q3 + 0.0),  # + 0.0 turns -0.0 into 0.0
+        Vec3(w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,
+             w1 * az + w2 * bz + w3 * cz),
+        state.wheel_momentum, state.t + dt)
 
-        # k4 at the end along k3
-        sq0 = q0 + dt * k3q0
-        sq1 = q1 + dt * k3q1
-        sq2 = q2 + dt * k3q2
-        sq3 = q3 + dt * k3q3
-        swx = wx + dt * k3wx
-        swy = wy + dt * k3wy
-        swz = wz + dt * k3wz
-        k4q0 = 0.5 * (-swx * sq1 - swy * sq2 - swz * sq3)
-        k4q1 = 0.5 * (swx * sq0 + swz * sq2 - swy * sq3)
-        k4q2 = 0.5 * (swy * sq0 - swz * sq1 + swx * sq3)
-        k4q3 = 0.5 * (swz * sq0 + swy * sq1 - swx * sq2)
-        hx = a * swx + b * swy + c * swz
-        hy = d * swx + e * swy + f * swz
-        hz = g * swx + h * swy + i * swz
-        gx = tx - (swy * hz - swz * hy)
-        gy = ty - (swz * hx - swx * hz)
-        gz = tz - (swx * hy - swy * hx)
 
-        q0 = q0 + sixth * (k1q0 + 2.0 * (k2q0 + k3q0) + k4q0)
-        q1 = q1 + sixth * (k1q1 + 2.0 * (k2q1 + k3q1) + k4q1)
-        q2 = q2 + sixth * (k1q2 + 2.0 * (k2q2 + k3q2) + k4q2)
-        q3 = q3 + sixth * (k1q3 + 2.0 * (k2q3 + k3q3) + k4q3)
-        wx = wx + sixth * (k1wx + 2.0 * (k2wx + k3wx) + (p * gx + qq * gy + r * gz))
-        wy = wy + sixth * (k1wy + 2.0 * (k2wy + k3wy) + (s * gx + u * gy + v * gz))
-        wz = wz + sixth * (k1wz + 2.0 * (k2wz + k3wz) + (x * gx + y * gy + z * gz))
-        if not isfinite(q0 + q1 + q2 + q3 + wx + wy + wz):
-            raise NonFiniteStateError(
-                f"non-finite state after step at t={t:.6g}s (dt={dt:g}); "
-                "dt is probably too large for the current rates"
-            )
-        n = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-        if n == 0.0 or not isfinite(n):
-            raise NonFiniteStateError(
-                f"quaternion norm left the finite domain at t={t:.6g}s (dt={dt:g})"
-            )
-        q0 = q0 / n
-        q1 = q1 / n
-        q2 = q2 / n
-        q3 = q3 / n
-        # canonical_sign: q0 >= 0, else the first nonzero of (q1, q2, q3) > 0
-        if q0 < 0.0 or (q0 == 0.0 and (q1 < 0.0 or (q1 == 0.0 and (
-                q2 < 0.0 or (q2 == 0.0 and q3 < 0.0))))):
-            q0, q1, q2, q3 = -q0, -q1, -q2, -q3
-        t = t + dt
-
-    return AttitudeState(Quat(q0, q1, q2, q3), Vec3(wx, wy, wz), state.wheel_momentum, t)
+def _runaway(t: float, step: float) -> NonFiniteStateError:
+    return NonFiniteStateError(
+        f"state left the finite domain in the step from t={t:.6g}s (substep {step:g} s)")

@@ -1,9 +1,10 @@
 """Reference implementations the tests check the package against.
 
-None of this is on the simulation path.  :func:`rk4_step` on
-:func:`make_rigid_body_dynamics` is the plain RK4 that
-:func:`adcslab.rigidbody.propagate` must match bit for bit, substep by
-substep; :func:`sun_direction` is the standalone eclipse test that
+None of this is on the simulation path.  :func:`propagate_reference` is the
+splitting step that :func:`adcslab.rigidbody.propagate` must match bit for
+bit; :func:`rk4_step` on :func:`make_rigid_body_dynamics` is the plain RK4
+that it is checked against for accuracy; :func:`sun_direction` is the
+standalone eclipse test that
 :func:`adcslab.environment.orbit_frame_sample` must agree with; the
 quaternion helpers build test inputs and expected values.
 
@@ -16,12 +17,15 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from adcslab.environment import OrbitConfig, constants, propagate_orbit
 from adcslab.quatmath import (
     Quat,
     Vec3,
     ZeroQuaternionError,
     normalize_canonical,
+    quat_norm,
     vdot,
     vnorm,
     vunit,
@@ -97,7 +101,7 @@ def quat_derivative(q: Quat, omega: Vec3) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Reference RK4
+# Reference RK4, the accuracy reference
 # ---------------------------------------------------------------------------
 
 def make_rigid_body_dynamics(J: InertiaTensor, torque: Vec3) -> Dynamics:
@@ -108,7 +112,7 @@ def make_rigid_body_dynamics(J: InertiaTensor, torque: Vec3) -> Dynamics:
     the gyroscopic term and the kinematics.
     """
     (a, b, c), (d, e, f), (g, h, i) = J.rows
-    (p, qq, r), (s, t, u), (v, w, x) = J.inverse_rows
+    (p, qq, r), (s, t, u), (v, w, x) = (map(float, row) for row in np.linalg.inv(J.matrix))
     tx, ty, tz = torque
 
     def dynamics(state: AttitudeState) -> _Rates:
@@ -198,6 +202,76 @@ def rk4_step(state: AttitudeState, dynamics: Dynamics, dt: float) -> AttitudeSta
             f"quaternion norm left the finite domain at t={t:.6g}s (dt={dt:g})"
         ) from exc
     return AttitudeState(q_unit, wn, state.wheel_momentum, t + dt)
+
+
+# ---------------------------------------------------------------------------
+# Reference splitting step
+# ---------------------------------------------------------------------------
+
+def _axis_rotation(q: Quat, H: list, i: int, half_angle: float) -> Quat:
+    """Flow of ``a H_i^2 / 2`` about principal axis ``i`` (0-based): turn the
+    body by ``2 * half_angle`` about the axis; ``H`` turns the other way, in
+    place."""
+    c, s = math.cos(half_angle), math.sin(half_angle)
+    cc, ss = c * c - s * s, 2.0 * s * c
+    j, k = (i + 1) % 3, (i + 2) % 3
+    H[j], H[k] = cc * H[j] + ss * H[k], cc * H[k] - ss * H[j]
+    axis = [0.0, 0.0, 0.0]
+    axis[i] = s
+    return quat_multiply(q, Quat(c, *axis))
+
+
+def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
+                        n_sub: int = 1) -> AttitudeState:
+    """The kick-drift-kick splitting step of ``propagate``, written plainly.
+
+    In the principal frame of ``J``, each of the ``n_sub`` substeps of length
+    ``h`` adds half the torque impulse to ``H``, turns the body about ``H`` by
+    ``|H| h / I2``, runs ``R1(h/2) R3(h) R1(h/2)`` (a single ``R1(h)`` when
+    ``R3``'s coefficient is zero), and adds the other half.  The arithmetic
+    is the kernel's, in the same order, so the results agree bit for bit.
+
+    Raises:
+        ValueError: on a non-positive or non-finite ``dt``, or ``n_sub < 1``.
+        NonFiniteStateError: if the momentum or the quaternion norm leaves
+            the finite domain.
+    """
+    if not (dt > 0.0) or not math.isfinite(dt):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if n_sub < 1:
+        raise ValueError(f"n_sub must be at least 1, got {n_sub}")
+    axes, (i1, i2, i3), e = J.principal_axes, J.principal_moments, J.principal_frame
+    step = dt / n_sub
+    H = [i * vdot(v, state.omega) for i, v in zip((i1, i2, i3), axes)]
+    kick = [0.5 * step * vdot(v, torque) for v in axes]
+    q = quat_multiply(state.q, e)
+    casimir = 0.5 * step / i2
+    r1 = 0.25 * step * (1.0 / i1 - 1.0 / i2)
+    r3 = 0.5 * step * (1.0 / i3 - 1.0 / i2)
+    sequence = ((0, r1 + r1),) if r3 == 0.0 else ((0, r1), (2, r3), (0, r1))
+    message = (f"state left the finite domain in the step from t={state.t:.6g}s "
+               f"(substep {step:g} s)")
+    try:
+        for _ in range(n_sub):
+            H = [h + k for h, k in zip(H, kick)]
+            hn = vnorm(H)
+            if hn > 0.0:
+                a = hn * casimir
+                s = math.sin(a) / hn
+                q = quat_multiply(q, Quat(math.cos(a), s * H[0], s * H[1], s * H[2]))
+            for i, r in sequence:
+                q = _axis_rotation(q, H, i, r * H[i])
+            H = [h + k for h, k in zip(H, kick)]
+    except ValueError as exc:
+        raise NonFiniteStateError(message) from exc
+    q = quat_multiply(q, quat_conjugate(e))
+    n = quat_norm(q)
+    if not (n > 0.0 and math.isfinite(n + H[0] + H[1] + H[2])):
+        raise NonFiniteStateError(message)
+    q = Quat(*(c + 0.0 for c in normalize_canonical(q)))
+    w = [h / i for h, i in zip(H, (i1, i2, i3))]
+    omega = Vec3(*(w[0] * axes[0][j] + w[1] * axes[1][j] + w[2] * axes[2][j] for j in range(3)))
+    return AttitudeState(q, omega, state.wheel_momentum, state.t + dt)
 
 
 # ---------------------------------------------------------------------------

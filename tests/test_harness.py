@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ import pytest
 from adcslab.control import ActuatorLimits, Fidelity, Gains
 from adcslab.environment import OrbitConfig, orbit_period
 from adcslab.harness import (
+    MAX_SUBSTEPS,
     ROD_EFFECTIVE_TORQUE_NM,
+    SUBSTEP_MAX_PHASE_RAD,
     TELEMETRY_COLUMNS,
     DivergenceError,
     RunResult,
@@ -227,6 +229,19 @@ def test_divergence_reports_step_and_time():
         run_scenario(s)
     except DivergenceError as e:
         assert e.step >= 0 and e.t >= 0.0
+
+
+def test_a_rate_beyond_the_substep_cap_is_a_divergence():
+    """Just below MAX_SUBSTEPS * SUBSTEP_MAX_PHASE_RAD / dt the run still
+    steps; past it the run stops with a DivergenceError instead of capping
+    the count."""
+    cap = MAX_SUBSTEPS * SUBSTEP_MAX_PHASE_RAD / 0.1
+    edge = Scenario(mode="safe", omega0_radps=Vec3(0.999 * cap, 0.0, 0.0), duration_s=0.2)
+    assert run_scenario_metrics(edge).steps == 2
+    past = replace(edge, omega0_radps=Vec3(0.0, 1.001 * cap, 0.0))
+    with pytest.raises(DivergenceError, match=f"more than {MAX_SUBSTEPS} substeps") as exc:
+        run_scenario(past)
+    assert (exc.value.step, exc.value.t, exc.value.mode) == (0, 0.0, "safe")
 
 
 def test_run_result_is_json_serializable():

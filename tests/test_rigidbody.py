@@ -12,7 +12,16 @@ from adcslab.rigidbody import (
     SingularInertiaError,
     propagate,
 )
-from oracles import free_rotation, make_rigid_body_dynamics, quat_derivative, rk4_step
+from oracles import (
+    free_rotation,
+    make_rigid_body_dynamics,
+    propagate_reference,
+    quat_derivative,
+    quat_from_axis_angle,
+    quat_multiply,
+    rk4_step,
+    rotate_body_to_orbit,
+)
 
 J123 = InertiaTensor.diagonal(1.0, 2.0, 3.0)
 
@@ -62,7 +71,7 @@ def test_torque_enters_linearly(w, ta, tb):
     tsum = Vec3(ta.x + tb.x, ta.y + tb.y, ta.z + tb.z)
     both = _rates(J123, w, tsum)
     free = _rates(J123, w)
-    jinv = J123.inverse_rows
+    jinv = np.linalg.inv(J123.matrix)
     expect = Vec3(
         sum(jinv[0][k] * tsum[k] for k in range(3)),
         sum(jinv[1][k] * tsum[k] for k in range(3)),
@@ -110,13 +119,6 @@ def test_tensor_rejects_triangle_violation():
 
 def test_tensor_boundary_triangle_is_accepted():
     InertiaTensor.diagonal(1.0, 2.0, 3.0)  # 1 + 2 == 3, planar distribution
-
-
-def test_tensor_inverse_really_inverts():
-    m = np.array([[2.0, 0.1, 0.0], [0.1, 2.5, -0.2], [0.0, -0.2, 3.0]])
-    J = InertiaTensor(m)
-    prod = np.array(J.rows) @ np.array(J.inverse_rows)
-    assert np.allclose(prod, np.eye(3), atol=1e-12)
 
 
 def test_tensor_dot_matches_matmul():
@@ -224,11 +226,13 @@ def test_step_keeps_quaternion_normalized(w, dt):
     assert s.q.q0 >= 0.0
 
 
-# ---------------------------------------------------------------- fused kernel
+# ---------------------------------------------------------------- splitting step
 
 J_OFF_DIAGONAL = InertiaTensor(np.array([[2.0, 0.1, 0.0],
                                          [0.1, 2.5, -0.2],
                                          [0.0, -0.2, 3.0]]))
+J_FLIGHT = InertiaTensor.diagonal(0.015641505454545453, 0.015641505454545453, 5e-3)
+J_OBLATE = InertiaTensor.diagonal(1.5, 1.5, 2.5)
 
 unit_quats = st.builds(
     Quat, *[st.floats(-1.0, 1.0)] * 4,
@@ -236,26 +240,89 @@ unit_quats = st.builds(
 tumble_rates = st.builds(Vec3, *[st.floats(-5.0, 5.0)] * 3)
 
 
+def _max_error(a, b):
+    """Largest component difference of q (either sign) and omega."""
+    dq = min(max(abs(x - y) for x, y in zip(a.q, b.q)),
+             max(abs(x + y) for x, y in zip(a.q, b.q)))
+    return max(dq, *(abs(x - y) for x, y in zip(a.omega, b.omega)))
+
+
+@pytest.mark.parametrize("J", [J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE],
+                         ids=["diag123", "off-diagonal", "flight", "oblate"])
+def test_principal_frame_is_a_right_handed_eigenbasis(J):
+    axes = np.array(J.principal_axes).T  # columns
+    moments = J.principal_moments
+    assert np.allclose(axes.T @ axes, np.eye(3), atol=1e-15)
+    assert np.linalg.det(axes) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(axes @ np.diag(moments) @ axes.T, J.matrix, rtol=0.0, atol=1e-15)
+    assert sorted(moments)[1] == moments[1]  # the middle moment is second
+    if len(set(moments)) == 2:  # an equal pair is second and third
+        assert moments[1] == moments[2]
+    for k in range(3):  # R(principal_frame) has the axes as columns
+        e_k = Vec3(*np.eye(3)[k])
+        assert np.allclose(rotate_body_to_orbit(J.principal_frame, e_k), axes[:, k],
+                           rtol=0.0, atol=1e-15)
+
+
 @settings(max_examples=200)
 @given(unit_quats, tumble_rates, torques, st.floats(-0.01, 0.01),
        st.floats(0.0, 1e4), st.floats(0.01, 0.1), st.integers(1, 12),
-       st.sampled_from([J123, J_OFF_DIAGONAL]))
+       st.sampled_from([J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE]))
 @example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(3.7, 3.7, 3.7), Vec3(2e-6, -1e-6, 5e-7),
          0.004, 12.3, 0.1, 1, J_OFF_DIAGONAL)
 @example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(3.7, 3.7, 3.7), Vec3(2e-6, -1e-6, 5e-7),
-         0.004, 12.3, 0.1, 7, J_OFF_DIAGONAL)
-def test_propagate_matches_substepped_rk4_bit_for_bit(q, w, tau, hw, t, dt, n_sub, J):
+         0.004, 12.3, 0.1, 7, J_FLIGHT)
+def test_propagate_matches_the_reference_step_bit_for_bit(q, w, tau, hw, t, dt, n_sub, J):
     start = _state(q, w, hw, t)
     fused = propagate(start, J, tau, dt, n_sub)
-    ref = start
-    dyn = make_rigid_body_dynamics(J, tau)
-    for _ in range(n_sub):
-        ref = rk4_step(ref, dyn, dt / n_sub)
+    ref = propagate_reference(start, J, tau, dt, n_sub)
     assert fused.q == ref.q
     assert fused.omega == ref.omega
     assert fused.wheel_momentum == hw
     assert fused.t == ref.t
     assert repr(fused) == repr(ref)  # signed zeros too
+
+
+def test_torque_free_step_is_exact_for_the_axisymmetric_flight_inertia():
+    """One 0.8 rad step of the free flight stack against the closed form.
+
+    About the symmetry axis z the body turns by |H| t / Jt about the fixed
+    momentum and by (1/Jz - 1/Jt) Hz t about z; in the body the transverse
+    momentum turns the other way by the second angle.
+    """
+    jt, jz = J_FLIGHT.rows[0][0], J_FLIGHT.rows[2][2]
+    w0 = Vec3(3.1, -5.2, 5.4)  # |w| dt = 0.8 rad
+    start = _state(normalize_canonical(Quat(0.3, -0.5, 0.2, 0.7)), w0)
+    dt = 0.8 / math.sqrt(sum(c * c for c in w0))
+    h0 = J_FLIGHT.dot(w0)
+    hn = math.sqrt(sum(c * c for c in h0))
+    theta = (1.0 / jz - 1.0 / jt) * h0.z * dt
+    q = quat_multiply(quat_multiply(start.q, quat_from_axis_angle(h0, hn * dt / jt)),
+                      quat_from_axis_angle(Vec3(0.0, 0.0, 1.0), theta))
+    c, s = math.cos(theta), math.sin(theta)
+    closed = _state(normalize_canonical(q),
+                    Vec3((c * h0.x + s * h0.y) / jt, (c * h0.y - s * h0.x) / jt, h0.z / jz))
+
+    rk4 = start
+    for _ in range(2000):  # the closed form itself, against a fine RK4
+        rk4 = rk4_step(rk4, free_rotation(J_FLIGHT), dt / 2000)
+    assert _max_error(rk4, closed) < 1e-10
+    assert _max_error(propagate(start, J_FLIGHT, ZERO3, dt, 1), closed) < 1e-12
+
+
+def test_propagate_converges_at_second_order():
+    """Halving the substep quarters the error against a fine RK4, with torque."""
+    start = _state(normalize_canonical(Quat(0.3, -0.5, 0.2, 0.7)), Vec3(0.7, -1.1, 0.9))
+    tau = Vec3(0.3, -0.2, 0.25)
+    ref = start
+    dyn = make_rigid_body_dynamics(J_OFF_DIAGONAL, tau)
+    for _ in range(4000):
+        ref = rk4_step(ref, dyn, 0.4 / 4000)
+    errors = [_max_error(propagate(start, J_OFF_DIAGONAL, tau, 0.4, n), ref)
+              for n in (1, 2, 4, 8)]
+    assert errors[0] < 1e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 < coarse / fine < 4.2, errors
 
 
 def test_propagate_bad_dt_rejected():
@@ -271,16 +338,20 @@ def test_propagate_bad_dt_rejected():
 
 
 @pytest.mark.parametrize("start", [
-    _state(w=Vec3(1e200, 1e200, 0.0)),             # non-finite probe sum
+    _state(w=Vec3(1e200, 1e200, 0.0)),             # |H| overflows
     _state(q=Quat(1e155, 1e155, 0.0, 0.0)),        # finite parts, norm overflows
 ], ids=["runaway-rates", "norm-overflow"])
 @pytest.mark.parametrize("n_sub", [1, 4])
 def test_propagate_nonfinite_state_is_reported_like_rk4(start, n_sub):
+    """A runaway raises NonFiniteStateError as RK4 does, never the ValueError
+    of math.cos(inf), with the reference step's message."""
     with pytest.raises(NonFiniteStateError) as fused:
-        propagate(start, J123, ZERO3, 0.1, n_sub)
+        propagate(start, J_OFF_DIAGONAL, ZERO3, 0.1, n_sub)
     with pytest.raises(NonFiniteStateError) as ref:
-        rk4_step(start, free_rotation(J123), 0.1 / n_sub)
+        propagate_reference(start, J_OFF_DIAGONAL, ZERO3, 0.1, n_sub)
     assert str(fused.value) == str(ref.value)
+    with pytest.raises(NonFiniteStateError):
+        rk4_step(start, free_rotation(J_OFF_DIAGONAL), 0.1 / n_sub)
 
 
 @pytest.mark.parametrize("q", [
@@ -288,10 +359,9 @@ def test_propagate_nonfinite_state_is_reported_like_rk4(start, n_sub):
     Quat(0.0, 0.0, 0.0, 1.0), Quat(-1.0, 0.0, 0.0, 0.0),
 ])
 def test_propagate_canonical_sign_at_q0_zero(q):
-    """At rest the quaternion is only renormalized and sign-flipped."""
+    """At rest the quaternion is only renormalized and sign-flipped, and no
+    component is left at -0.0."""
     fused = propagate(_state(q), J123, ZERO3, 0.1, 3)
-    ref = _state(q)
-    for _ in range(3):
-        ref = rk4_step(ref, free_rotation(J123), 0.1 / 3)
-    assert repr(fused) == repr(ref)
     assert fused.q == normalize_canonical(q)
+    assert all(math.copysign(1.0, c) > 0.0 for c in fused.q), fused.q
+    assert repr(fused) == repr(propagate_reference(_state(q), J123, ZERO3, 0.1, 3))

@@ -627,7 +627,8 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
             nxt = propagate(state, J, Vec3(tx, ty, tz), dt, n_sub)
         except NonFiniteStateError as exc:
             raise DivergenceError(k, state.t, mode.value, str(exc)) from exc
-        state = AttitudeState(nxt.q, nxt.omega, hw_next, state.t + dt)
+        # The clock is the step count times dt: a running sum of dt drifts.
+        state = AttitudeState(nxt.q, nxt.omega, hw_next, (k + 1) * dt)
 
     record(state, cmd, mode)
 

@@ -231,6 +231,13 @@ def test_divergence_reports_step_and_time():
         assert e.step >= 0 and e.t >= 0.0
 
 
+def test_the_loop_clock_is_the_step_count_times_dt():
+    """A 600 s safe run ends at exactly 600.0 s; every row sits at k * dt."""
+    tel, res = run_scenario(default_scenario("safe"))
+    assert tel.column("t_s") == [k * 0.1 for k in range(0, 6001, 10)]
+    assert tel.rows[-1][0] == 600.0 == res.duration_s
+
+
 def test_a_rate_beyond_the_substep_cap_is_a_divergence():
     """Just below MAX_SUBSTEPS * SUBSTEP_MAX_PHASE_RAD / dt the run still
     steps; past it the run stops with a DivergenceError instead of capping

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .quatmath import Quat, Vec3, rotate_orbit_to_body, vcross, vdot, vnorm, vunit
+from .quatmath import Quat, Vec3, rotate_orbit_to_body, vcross, vdot, visfinite, vnorm, vunit
 from .rigidbody import InertiaTensor
 
 __all__ = [
@@ -252,13 +252,14 @@ class SpacecraftGeometry:
         for f in self.faces:
             if abs(vnorm(f.normal) - 1.0) > 1e-9:
                 raise ValueError(f"face normal {f.normal} is not unit length")
-            if not (f.area_m2 > 0.0):
-                raise ValueError(f"face area must be > 0, got {f.area_m2}")
+            if not (0.0 < f.area_m2 < math.inf and visfinite(f.centroid_m)):
+                raise ValueError(f"face area must be > 0 and finite, at a finite centroid, "
+                                 f"got {f.area_m2} m^2 at {f.centroid_m}")
         for label, v in (("drag coefficient", self.drag_coefficient),
                          ("specular reflectance", self.specular_reflectance),
                          ("diffuse reflectance", self.diffuse_reflectance)):
-            if v < 0.0:
-                raise ValueError(f"{label} must be >= 0, got {v}")
+            if not (0.0 <= v < math.inf):
+                raise ValueError(f"{label} must be >= 0 and finite, got {v}")
         if self.specular_reflectance + self.diffuse_reflectance > 1.0:
             raise ValueError("specular + diffuse reflectance cannot exceed 1")
 

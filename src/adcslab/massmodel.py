@@ -278,7 +278,13 @@ def _component_from(obj, where: str) -> MassComponent:
             raise CatalogError(f"{where}: missing required key '{key}'")
     mass = read_number(obj["mass_kg"], f"{where}.mass_kg", CatalogError)
     position = read_numbers(obj["position_cm"], 3, f"{where}.position_cm", CatalogError)
-    return MassComponent(str(obj["name"]), mass, Vec3(*position))
+    return MassComponent(_read_name(obj["name"], f"{where}.name"), mass, Vec3(*position))
+
+
+def _read_name(obj, where: str) -> str:
+    if not isinstance(obj, str):
+        raise CatalogError(f"{where}: expected a string, got {obj!r}")
+    return obj
 
 
 def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
@@ -298,7 +304,8 @@ def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
             raise CatalogError("chamber_cm must be an object with 'x', 'y', 'z' ranges")
         chamber = ChamberBounds(**{axis: read_numbers(ch[axis], 2, f"chamber_cm.{axis}",
                                                       CatalogError) for axis in ch})
-    return MassCatalog(components, regolith, chamber, name=str(data.get("name", name)))
+    return MassCatalog(components, regolith, chamber,
+                       name=_read_name(data.get("name", name), "name"))
 
 
 def read_number(obj, where: str, error: type[ValueError]) -> float:

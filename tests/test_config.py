@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -118,6 +119,12 @@ def test_geometry_section_builds_a_box():
     assert sorted(f.area_m2 for f in s.geometry.faces) == pytest.approx([0.04] * 6)
     with pytest.raises(ConfigError, match="geometry"):
         scenario_from_dict({"geometry": {"x_m": -1.0}})
+
+
+@pytest.mark.parametrize("geometry", [{"drag_coefficient": math.nan}, {"x_m": math.inf}])
+def test_geometry_section_rejects_non_finite_values(geometry):
+    with pytest.raises(ConfigError, match="geometry"):
+        scenario_from_dict({"geometry": geometry})
 
 
 def test_invalid_combinations_surface_as_config_errors():

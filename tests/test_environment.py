@@ -255,6 +255,21 @@ def test_geometry_validation():
         SpacecraftGeometry((good,), specular_reflectance=0.8, diffuse_reflectance=0.3)
 
 
+@pytest.mark.parametrize("coefficient", ["drag_coefficient", "specular_reflectance",
+                                         "diffuse_reflectance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_geometry_rejects_non_finite_coefficients(coefficient, value):
+    with pytest.raises(ValueError, match=coefficient.replace("_", " ")):
+        SpacecraftGeometry.box(**{coefficient: value})
+
+
+@pytest.mark.parametrize("size", ["x_m", "y_m", "z_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_geometry_rejects_non_finite_face_sizes(size, value):
+    with pytest.raises(ValueError, match="face area"):
+        SpacecraftGeometry.box(**{size: value})
+
+
 # ----------------------------------------------------------------- drag
 
 def test_drag_force_on_one_ram_face():

@@ -74,8 +74,8 @@ class MassComponent:
     position_cm: Vec3
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise CatalogError("component name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise CatalogError(f"component name must be a non-empty string, got {self.name!r}")
         if not (0.0 < self.mass_kg < math.inf):
             raise CatalogError(f"{self.name}: mass must be > 0 and finite, got {self.mass_kg}")
         if not visfinite(self.position_cm):
@@ -122,6 +122,8 @@ class MassCatalog:
     name: str = "catalog"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise CatalogError(f"catalog name must be a string, got {self.name!r}")
         if not self.components:
             raise CatalogError("catalog needs at least one fixed component")
         names = [c.name for c in self.components]
@@ -278,13 +280,7 @@ def _component_from(obj, where: str) -> MassComponent:
             raise CatalogError(f"{where}: missing required key '{key}'")
     mass = read_number(obj["mass_kg"], f"{where}.mass_kg", CatalogError)
     position = read_numbers(obj["position_cm"], 3, f"{where}.position_cm", CatalogError)
-    return MassComponent(_read_name(obj["name"], f"{where}.name"), mass, Vec3(*position))
-
-
-def _read_name(obj, where: str) -> str:
-    if not isinstance(obj, str):
-        raise CatalogError(f"{where}: expected a string, got {obj!r}")
-    return obj
+    return MassComponent(obj["name"], mass, Vec3(*position))
 
 
 def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
@@ -304,8 +300,7 @@ def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
             raise CatalogError("chamber_cm must be an object with 'x', 'y', 'z' ranges")
         chamber = ChamberBounds(**{axis: read_numbers(ch[axis], 2, f"chamber_cm.{axis}",
                                                       CatalogError) for axis in ch})
-    return MassCatalog(components, regolith, chamber,
-                       name=_read_name(data.get("name", name), "name"))
+    return MassCatalog(components, regolith, chamber, name=data.get("name", name))
 
 
 def read_number(obj, where: str, error: type[ValueError]) -> float:

@@ -10,9 +10,10 @@ Conventions
       v_orbit = R(q) @ v_body        v_body = R(q).T @ v_orbit
 
   The kinematics ``qdot = 0.5 * Omega(omega) * q`` take ``omega`` as the
-  body-frame angular rate of the body relative to the orbit frame.  They are
-  written out inside :func:`adcslab.rigidbody.propagate`, the integrator;
-  their reference form is ``quat_derivative`` in ``tests/oracles.py``.
+  body-frame angular rate of the body relative to the orbit frame.  The
+  integrator, :func:`adcslab.rigidbody.propagate`, solves them exactly for
+  each rotation it takes; ``quat_derivative`` in ``tests/oracles.py`` is their
+  reference form.
 * Canonical sign: ``q0 >= 0``; when ``q0 == 0`` exactly, the first nonzero
   component among ``(q1, q2, q3)`` is kept positive.  ``q`` and ``-q`` encode
   the same rotation, so this only fixes a deterministic representative.

@@ -1,31 +1,20 @@
 """Rigid-body attitude state and fixed-step propagation.
 
-The propagated state couples the attitude quaternion (body relative to orbit
-frame) with the body angular rate.  Dynamics follow Euler's equations for the
-body angular momentum ``H = J omega`` under a torque held over the step::
+The state couples the attitude quaternion (body relative to orbit frame) with
+the body rate.  The body momentum ``H = J omega`` follows Euler's equations
+``H_dot = H x omega + tau`` under the torque held over the step, and the
+quaternion ``qdot = 0.5 * Omega(omega) * q`` (see :mod:`adcslab.quatmath`).
 
-    H_dot = H x omega + tau_control + tau_disturbance
-
-and the quaternion kinematics ``qdot = 0.5 * Omega(omega) * q`` (see
-:mod:`adcslab.quatmath`).
-
-:func:`propagate` is the package's one integrator: a kick-drift-kick splitting
-in the principal frame.  Each substep adds half the torque impulse to ``H``,
-runs the torque-free flow, and adds the other half.  The free flow is split
-into a rotation about ``H`` by ``|H| h / I2`` (the flow of the Casimir
-``|H|^2 / 2 I2``, with ``I2`` the middle principal moment) and the symmetric
-sequence ``R1(h/2) R3(h) R1(h/2)`` of rotations about the other two principal
-axes (Dullweber, Leimkuhler & McLachlan, J. Chem. Phys. 107, 1997).  Every
-rotation turns ``H`` and updates ``q`` by an exact quaternion product, so
-``|H|`` is kept to rounding and the step is second order.  For an
-axisymmetric tensor ``R3`` has a zero coefficient, the two ``R1`` halves
-merge, and the torque-free step is exact for any step size.  The quaternion
-is renormalized and sign-canonicalized once per call.
-
-Its reference, the same step written with quaternion helpers, lives with the
-tests in ``tests/oracles.py`` with a textbook RK4 as the accuracy reference;
-a property test holds the step equal to its reference bit for bit, so a
-change to the dynamics must be made in both.
+:func:`propagate`, the package's one integrator, is a kick-drift-kick
+splitting in the principal frame (Dullweber, Leimkuhler & McLachlan, J. Chem.
+Phys. 107, 1997): half the torque impulse, the free flow, the other half.  The
+free flow is a rotation about ``H`` by ``|H| h / I2``, the flow of the Casimir
+``|H|^2 / 2 I2`` with ``I2`` the middle principal moment, then ``R1(h/2) R3(h)
+R1(h/2)`` about the other two axes.  Each rotation turns ``H`` and ``q``
+exactly, so ``|H|`` is kept to rounding and the step is second order; for an
+axisymmetric tensor ``R3`` drops out and the torque-free step is exact.  Its
+reference, the same step written with quaternion helpers, is in
+``tests/oracles.py``, held equal bit for bit by a property test.
 """
 
 from __future__ import annotations
@@ -71,12 +60,10 @@ class InertiaTensor:
     definiteness raises :class:`SingularInertiaError` so a degenerate mass
     catalog surfaces before any propagation is attempted.
 
-    The principal frame the integrator steps in is kept from the same
-    eigendecomposition: ``principal_moments`` with the middle one second,
-    ``principal_axes`` (unit structure-frame vectors, right-handed), and
-    ``principal_frame``, the quaternion whose rotation matrix has those axes
-    as columns.  When two moments are equal they are the second and third,
-    so the integrator's third rotation has a zero coefficient.
+    The same eigendecomposition gives the integrator's principal frame:
+    ``principal_moments`` (the middle one second; an equal pair second and
+    third), right-handed unit ``principal_axes`` in the structure frame, and
+    ``principal_frame``, the quaternion whose matrix has them as columns.
     """
 
     __slots__ = ("_m", "rows", "principal_moments", "principal_axes", "principal_frame")
@@ -202,47 +189,34 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
 
     try:
         for _ in range(n_sub):
-            h1 = h1 + k1
-            h2 = h2 + k2
-            h3 = h3 + k3
+            h1, h2, h3 = h1 + k1, h2 + k2, h3 + k3
             hn = sqrt(h1 * h1 + h2 * h2 + h3 * h3)
             if hn > 0.0:
                 a = hn * casimir
-                c = cos(a)
-                s = sin(a) / hn
-                x = s * h1
-                y = s * h2
-                z = s * h3
+                c, s = cos(a), sin(a) / hn
+                x, y, z = s * h1, s * h2, s * h3
                 q0, q1, q2, q3 = (q0 * c - q1 * x - q2 * y - q3 * z,
                                   q0 * x + q1 * c + q2 * z - q3 * y,
                                   q0 * y - q1 * z + q2 * c + q3 * x,
                                   q0 * z + q1 * y - q2 * x + q3 * c)
             a = r1 * h1
-            c = cos(a)
-            s = sin(a)
-            cc = c * c - s * s
-            ss = 2.0 * s * c
+            c, s = cos(a), sin(a)
+            cc, ss = c * c - s * s, 2.0 * s * c
             h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
             q0, q1, q2, q3 = q0 * c - q1 * s, q0 * s + q1 * c, q2 * c + q3 * s, q3 * c - q2 * s
             if not merged:
                 a = r3 * h3
-                c = cos(a)
-                s = sin(a)
-                cc = c * c - s * s
-                ss = 2.0 * s * c
+                c, s = cos(a), sin(a)
+                cc, ss = c * c - s * s, 2.0 * s * c
                 h1, h2 = cc * h1 + ss * h2, cc * h2 - ss * h1
                 q0, q1, q2, q3 = q0 * c - q3 * s, q1 * c + q2 * s, q2 * c - q1 * s, q0 * s + q3 * c
                 a = r1 * h1
-                c = cos(a)
-                s = sin(a)
-                cc = c * c - s * s
-                ss = 2.0 * s * c
+                c, s = cos(a), sin(a)
+                cc, ss = c * c - s * s, 2.0 * s * c
                 h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
                 q0, q1, q2, q3 = (q0 * c - q1 * s, q0 * s + q1 * c,
                                   q2 * c + q3 * s, q3 * c - q2 * s)
-            h1 = h1 + k1
-            h2 = h2 + k2
-            h3 = h3 + k3
+            h1, h2, h3 = h1 + k1, h2 + k2, h3 + k3
     except ValueError as exc:  # math.cos and math.sin of an infinite angle
         raise _runaway(state.t, step) from exc
 
@@ -263,9 +237,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     if q0 < 0.0 or (q0 == 0.0 and (q1 < 0.0 or (q1 == 0.0 and (
             q2 < 0.0 or (q2 == 0.0 and q3 < 0.0))))):
         q0, q1, q2, q3 = -q0, -q1, -q2, -q3
-    w1 = h1 / i1
-    w2 = h2 / i2
-    w3 = h3 / i3
+    w1, w2, w3 = h1 / i1, h2 / i2, h3 / i3
     return AttitudeState(
         Quat(q0 + 0.0, q1 + 0.0, q2 + 0.0, q3 + 0.0),  # + 0.0 turns -0.0 into 0.0
         Vec3(w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,

@@ -44,8 +44,8 @@ LIBRARY_RUNS = (
     ("conops", "conops", {}),
     ("detumble, physical", "detumble", {"fidelity": Fidelity.PHYSICAL}),
     ("spin, physical", "spin", {"fidelity": Fidelity.PHYSICAL}),
+    ("despin, physical", "despin", {"fidelity": Fidelity.PHYSICAL}),
     ("conops, physical", "conops", {"fidelity": Fidelity.PHYSICAL}),
-    ("detumble, `orbit_rate_coupling=True`", "detumble", {"orbit_rate_coupling": True}),
     ('spin, `regolith_policy="sampled"`, seed 7', "spin",
      {"regolith_policy": "sampled", "seed": 7}),
     ("nominal, sampled, seed 123, 0.5 orbit", "nominal",

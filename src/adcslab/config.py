@@ -166,7 +166,7 @@ _KEYS = {
             "dipole_tilt_deg", "env_update_every_s", "telemetry_cadence_s",
             "settle_band", "align_tolerance_deg")},
         **{key: (key, _boolean) for key in (
-            "enable_drag", "enable_srp", "enable_gravity_gradient", "orbit_rate_coupling")},
+            "enable_drag", "enable_srp", "enable_gravity_gradient")},
     },
 }
 

@@ -19,7 +19,9 @@ Magnetorquer allocation runs at two fidelities: IDEAL treats the commanded
 torque as directly realizable up to a per-axis clamp; PHYSICAL converts it to
 a dipole ``m = (B x tau) / |B|^2``, clamps the dipole per axis, and applies
 ``tau = m x B``, which is orthogonal to B by construction (torque demanded
-along the field line is simply not realizable that step).
+along the field line is simply not realizable that step).  The fidelity is
+only this allocation choice: the body's dynamics, the wheel's coupling
+included, are :func:`adcslab.rigidbody.propagate`'s at either fidelity.
 """
 
 from __future__ import annotations
@@ -282,5 +284,9 @@ def mode_transition(
 
 
 def total_control(cmd: TorqueCommand) -> Vec3:
-    """Net control torque on the body: magnetics plus the x-axis wheel."""
+    """Net actuator torque on the hull: magnetics plus the x-axis wheel.
+
+    The loop hands the two to ``propagate`` apart: the magnetic torque is
+    external, while the wheel's only moves momentum between wheel and body.
+    """
     return Vec3(cmd.tau_m[0] + cmd.tau_rw, cmd.tau_m[1], cmd.tau_m[2])

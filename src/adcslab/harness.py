@@ -6,9 +6,13 @@ mode, initial state, and integration settings.  :func:`run_scenario` steps the
 closed loop
 
     sample environment -> disturbance torques -> mode controller ->
-    actuator models -> kick-drift-kick splitting over (q, omega)
+    actuator models -> rigidbody.propagate
 
 and returns decimated telemetry plus a :class:`RunResult` of metrics.  The
+loop computes no dynamics itself: it hands the held external torque
+(magnetics plus disturbances) and the wheel's torque to
+:func:`~adcslab.rigidbody.propagate`, whose kick-drift-kick splitting
+carries the attitude, the body rate and the wheel's momentum together.  The
 hold times and post-settle maxima are taken from the telemetry rows as they
 are recorded, so they see the run at the telemetry cadence.  Standalone modes
 (``detumble``/``nominal``/``spin``/``despin``/``safe``) hold their controller
@@ -43,7 +47,6 @@ from .control import (
     mode_transition,
     pd_torque,
     spin_torques,
-    total_control,
     wheel_step,
 )
 from .environment import (
@@ -73,7 +76,6 @@ from .quatmath import (
     quat_norm,
     quat_to_euler,
     rotate_orbit_to_body,
-    vcross,
     vdot,
     visfinite,
     vnorm,
@@ -202,7 +204,6 @@ class Scenario:
     telemetry_cadence_s: float | None = None
     settle_band: float = 0.01
     align_tolerance_deg: float = 5.0
-    orbit_rate_coupling: bool = False
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -363,7 +364,11 @@ class RunResult:
     """Metrics extracted from one run; times are None when not reached.
 
     The defaults are what a diverged run reports for the fields it never
-    reaches; a converged run sets every field.
+    reaches; a converged run sets every field, except that spin and despin
+    runs report ``max_qe_post_settle`` and ``max_cone_angle_post_settle_deg``
+    as None: both measure the attitude against the orbit frame, which a spin
+    about x sweeps through.  The wheel momenta are the momentum the wheel has
+    given the body, so the conserved total is ``J omega - hw x``.
     """
 
     scenario_name: str
@@ -417,11 +422,13 @@ class _Metrics:
 
     The post-settle maxima (|q_e|, |omega|, body-z half-cone angle) restart
     whenever the mode's primary condition fails, so they cover exactly the
-    rows at or after its hold time: recorded times only increase.
+    rows at or after its hold time: recorded times only increase.  Spin and
+    de-spin keep only |omega|: |q_e| and the cone angle measure the attitude
+    against the orbit frame, which a spin about x sweeps through.
     """
 
     __slots__ = ("detumble_radps", "despin_radps", "spin_radps", "spin_tol", "align_deg",
-                 "primary", "times", "max_qe", "max_speed", "max_cone")
+                 "primary", "pointing", "times", "max_qe", "max_speed", "max_cone")
 
     def __init__(self, s: Scenario) -> None:
         self.detumble_radps = s.thresholds.detumble_exit_radps
@@ -430,6 +437,7 @@ class _Metrics:
         self.spin_tol = s.settle_band * self.spin_radps
         self.align_deg = s.align_tolerance_deg
         self.primary = _PRIMARY_METRIC.get(s.mode)
+        self.pointing = s.mode not in ("spin", "despin")
         self.times: list[float | None] = [0.0, 0.0, 0.0, 0.0]
         self.max_qe = self.max_speed = self.max_cone = 0.0
 
@@ -457,11 +465,13 @@ class _Metrics:
         if self.primary is not None and times[self.primary] is None:
             self.max_qe = self.max_speed = self.max_cone = 0.0
             return
+        if speed > self.max_speed:
+            self.max_speed = speed
+        if not self.pointing:
+            return
         qe = vnorm(row[2:5])
         if qe > self.max_qe:
             self.max_qe = qe
-        if speed > self.max_speed:
-            self.max_speed = speed
         # Angle between body z and orbit z: acos(R33), R33 = 1 - 2(q1^2 + q2^2).
         q1, q2 = row[2], row[3]
         r33 = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
@@ -476,9 +486,12 @@ class _Metrics:
         return 0.0 if self.primary is None else self.times[self.primary]
 
     def post_settle(self) -> tuple:
-        """(max |q_e|, max |omega|, max cone deg); Nones while the primary fails."""
+        """(max |q_e|, max |omega|, max cone deg); Nones while the primary
+        fails, and for the two attitude maxima of spin and de-spin."""
         if self.primary_time() is None:
             return None, None, None
+        if not self.pointing:
+            return None, self.max_speed, None
         return self.max_qe, self.max_speed, self.max_cone
 
 
@@ -513,14 +526,10 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
     )
     sched_i = 0
 
-    n_orb = 2.0 * math.pi / period
-    coupling = s.orbit_rate_coupling
-
     state = AttitudeState(normalize_canonical(s.q0), Vec3(*s.omega0_radps),
                           s.wheel_momentum0_nms, 0.0)
     transitions: list[tuple[float, str]] = [(0.0, mode.value)]
     rows: list[tuple] = []
-    wf_body = ZERO3
     cmd = _ZERO_CMD
     mag_sat = 0
     wheel_sat = 0
@@ -544,8 +553,6 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         if k % env_every == 0:
             orbit_env = orbit_frame_sample(cfg, state.t, s.sun_inertial, s.dipole_tilt_deg)
             tau_d = total_disturbance(s.geometry, orbit_env.to_body(state.q), J, cg_m, include)
-            if coupling:
-                wf_body = rotate_orbit_to_body(state.q, Vec3(0.0, -n_orb, 0.0))
 
         if conops:
             command = None
@@ -594,27 +601,8 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         if k % tel_every == 0:
             record(state, cmd, mode)
 
-        tau_c = total_control(cmd)
-        tx = tau_c[0] + tau_d[0]
-        ty = tau_c[1] + tau_d[1]
-        tz = tau_c[2] + tau_d[2]
-        if physical:
-            # Gyroscopic reaction of the stored wheel momentum: -omega x h_w.
-            ty -= state.omega[2] * hw
-            tz += state.omega[1] * hw
-        if coupling:
-            # Correct the gyroscopic term for the rotating orbit frame: the
-            # propagated omega is relative to it, Euler's equations want the
-            # inertial rate.  Zero-order hold over the step, like the control.
-            w = state.omega
-            w_in = Vec3(w[0] + wf_body[0], w[1] + wf_body[1], w[2] + wf_body[2])
-            g_rel = vcross(w, J.dot(w))
-            g_in = vcross(w_in, J.dot(w_in))
-            jwf = J.dot(vcross(w, wf_body))
-            tx += g_rel[0] - g_in[0] + jwf[0]
-            ty += g_rel[1] - g_in[1] + jwf[1]
-            tz += g_rel[2] - g_in[2] + jwf[2]
-
+        tau_m = cmd.tau_m
+        tau_ext = Vec3(tau_m[0] + tau_d[0], tau_m[1] + tau_d[1], tau_m[2] + tau_d[2])
         # The substep count depends only on the current rate, so runs stay
         # deterministic.
         phases = vnorm(state.omega) * dt / SUBSTEP_MAX_PHASE_RAD
@@ -624,10 +612,12 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
                                   f"than {MAX_SUBSTEPS} substeps")
         n_sub = math.ceil(phases) if phases > 1.0 else 1
         try:
-            nxt = propagate(state, J, Vec3(tx, ty, tz), dt, n_sub)
+            nxt = propagate(state, J, tau_ext, dt, n_sub, wheel_torque=cmd.tau_rw)
         except NonFiniteStateError as exc:
             raise DivergenceError(k, state.t, mode.value, str(exc)) from exc
         # The clock is the step count times dt: a running sum of dt drifts.
+        # The wheel keeps wheel_step's momentum, which lands on the stop
+        # exactly where the kernel's sum of half-kicks may miss it by an ulp.
         state = AttitudeState(nxt.q, nxt.omega, hw_next, (k + 1) * dt)
 
     record(state, cmd, mode)

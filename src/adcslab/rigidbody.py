@@ -1,20 +1,27 @@
 """Rigid-body attitude state and fixed-step propagation.
 
-The state couples the attitude quaternion (body relative to orbit frame) with
-the body rate.  The body momentum ``H = J omega`` follows Euler's equations
-``H_dot = H x omega + tau`` under the torque held over the step, and the
-quaternion ``qdot = 0.5 * Omega(omega) * q`` (see :mod:`adcslab.quatmath`).
+The body carries an x-axis reaction wheel: a gyrostat.  The state is the
+attitude quaternion (body relative to orbit frame), the body rate, and the
+wheel momentum ``hw``, the momentum the wheel has given the body (minus the
+wheel's own).  The total momentum ``L = J omega - hw x`` follows
+``L_dot = L x omega + tau`` under the external torque held over the step,
+``hw`` follows the wheel torque, and ``omega = J^-1 (L + hw x)`` turns the
+quaternion, ``qdot = 0.5 * Omega(omega) * q`` (see :mod:`adcslab.quatmath`).
 
 :func:`propagate`, the package's one integrator, is a kick-drift-kick
 splitting in the principal frame (Dullweber, Leimkuhler & McLachlan, J. Chem.
-Phys. 107, 1997): half the torque impulse, the free flow, the other half.  The
-free flow is a rotation about ``H`` by ``|H| h / I2``, the flow of the Casimir
-``|H|^2 / 2 I2`` with ``I2`` the middle principal moment, then ``R1(h/2) R3(h)
-R1(h/2)`` about the other two axes.  Each rotation turns ``H`` and ``q``
-exactly, so ``|H|`` is kept to rounding and the step is second order; for an
-axisymmetric tensor ``R3`` drops out and the torque-free step is exact.  Its
-reference, the same step written with quaternion helpers, is in
-``tests/oracles.py``, held equal bit for bit by a property test.
+Phys. 107, 1997): half the torque impulses, the free flow, the other half.
+The free flow is a rotation about ``L`` by ``|L| h / I2``, the flow of the
+Casimir ``|L|^2 / 2 I2`` with ``I2`` the middle principal moment, then ``R1(h/2)
+R3(h) R1(h/2)`` about the other two axes.  A stored wheel momentum adds the
+energy ``hw L . J^-1 x``, whose flow turns the body about the body-fixed
+``J^-1 x``; it runs for half a substep on each side of the ``R1 R3 R1``
+sequence (P. C. Hughes, *Spacecraft Attitude Dynamics*, 1986, for the
+gyrostat).  Each rotation turns ``L`` and ``q`` exactly, so ``|L|`` is kept
+to rounding and the step is second order; for an axisymmetric tensor and no
+wheel ``R3`` drops out and the torque-free step is exact.  Its reference,
+the same step written with quaternion helpers, is in ``tests/oracles.py``,
+held equal bit for bit by a property test.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ class AttitudeState(NamedTuple):
 
     q: Quat
     omega: Vec3          # rad/s, body frame, relative to orbit frame
-    wheel_momentum: float  # N*m*s, along body x
+    wheel_momentum: float  # N*m*s along body x, given to the body; total J omega - hw x
     t: float             # s
 
 
@@ -137,15 +144,19 @@ def _quat_from_matrix(r: np.ndarray) -> Quat:
 
 
 def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
-              n_sub: int = 1) -> AttitudeState:
+              n_sub: int = 1, wheel_torque: float = 0.0) -> AttitudeState:
     """Integrate over ``dt`` with ``n_sub`` equal kick-drift-kick substeps.
 
-    ``torque`` (body frame) is held over ``dt``.  The state moves to the
-    principal frame once, runs the substeps on plain local floats, and moves
-    back; ``propagate_reference`` in ``tests/oracles.py`` is the same step
-    written with quaternion helpers and must match it bit for bit.  For an
-    axisymmetric tensor the choice of the one-rotation drift is made once
-    per call.  This is the simulation hot path.
+    ``torque`` (body frame, external) and ``wheel_torque`` (the x-axis
+    wheel's torque on the body) are held over ``dt``; the wheel torque moves
+    momentum between wheel and body and leaves the total unchanged.  The
+    state moves to the principal frame once, runs the substeps on plain
+    local floats, and moves back; ``propagate_reference`` in
+    ``tests/oracles.py`` is the same step written with quaternion helpers and
+    must match it bit for bit.  For an axisymmetric tensor the choice of the
+    one-rotation drift is made once per call, and a run whose wheel holds no
+    momentum and applies no torque does no wheel work.  This is the
+    simulation hot path.
 
     Raises:
         ValueError: on a non-positive or non-finite ``dt``, or ``n_sub < 1``.
@@ -162,6 +173,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     tx, ty, tz = torque
     wx, wy, wz = state.omega
     q0, q1, q2, q3 = state.q
+    hw = state.wheel_momentum
     step = dt / n_sub
     sqrt, cos, sin = math.sqrt, math.cos, math.sin
 
@@ -186,10 +198,43 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     merged = r3 == 0.0  # I2 == I3: R1(h/2) R1(h/2) is one R1(h)
     if merged:
         r1 = r1 + r1
+    wheel = hw != 0.0 or wheel_torque != 0.0
+    if wheel:
+        # The total momentum L = H - hw V^T x, the wheel's half-step kick,
+        # and the unit axis n of J^-1 x with the half angle per unit hw of
+        # its flow over half a substep.
+        h1, h2, h3 = h1 - hw * ax, h2 - hw * bx, h3 - hw * cx
+        kw = kick * wheel_torque
+        g1, g2, g3 = ax / i1, bx / i2, cx / i3
+        gn = sqrt(g1 * g1 + g2 * g2 + g3 * g3)
+        n1, n2, n3 = g1 / gn, g2 / gn, g3 / gn
+        spin = 0.25 * step * gn
 
     try:
         for _ in range(n_sub):
             h1, h2, h3 = h1 + k1, h2 + k2, h3 + k3
+            if wheel:
+                # Turn the body by u and L back by R(u)^T, with the matrix of
+                # rotate_orbit_to_body; the second half below reuses both.
+                hw = hw + kw
+                a = spin * hw
+                s = sin(a)
+                u0, u1, u2, u3 = cos(a), s * n1, s * n2, s * n3
+                m11 = 1.0 - 2.0 * (u2 * u2 + u3 * u3)
+                m12 = 2.0 * (u1 * u2 + u0 * u3)
+                m13 = 2.0 * (u1 * u3 - u0 * u2)
+                m21 = 2.0 * (u1 * u2 - u0 * u3)
+                m22 = 1.0 - 2.0 * (u1 * u1 + u3 * u3)
+                m23 = 2.0 * (u2 * u3 + u0 * u1)
+                m31 = 2.0 * (u1 * u3 + u0 * u2)
+                m32 = 2.0 * (u2 * u3 - u0 * u1)
+                m33 = 1.0 - 2.0 * (u1 * u1 + u2 * u2)
+                h1, h2, h3 = (m11 * h1 + m12 * h2 + m13 * h3, m21 * h1 + m22 * h2 + m23 * h3,
+                              m31 * h1 + m32 * h2 + m33 * h3)
+                q0, q1, q2, q3 = (q0 * u0 - q1 * u1 - q2 * u2 - q3 * u3,
+                                  q0 * u1 + q1 * u0 + q2 * u3 - q3 * u2,
+                                  q0 * u2 - q1 * u3 + q2 * u0 + q3 * u1,
+                                  q0 * u3 + q1 * u2 - q2 * u1 + q3 * u0)
             hn = sqrt(h1 * h1 + h2 * h2 + h3 * h3)
             if hn > 0.0:
                 a = hn * casimir
@@ -216,6 +261,14 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
                 h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
                 q0, q1, q2, q3 = (q0 * c - q1 * s, q0 * s + q1 * c,
                                   q2 * c + q3 * s, q3 * c - q2 * s)
+            if wheel:
+                h1, h2, h3 = (m11 * h1 + m12 * h2 + m13 * h3, m21 * h1 + m22 * h2 + m23 * h3,
+                              m31 * h1 + m32 * h2 + m33 * h3)
+                q0, q1, q2, q3 = (q0 * u0 - q1 * u1 - q2 * u2 - q3 * u3,
+                                  q0 * u1 + q1 * u0 + q2 * u3 - q3 * u2,
+                                  q0 * u2 - q1 * u3 + q2 * u0 + q3 * u1,
+                                  q0 * u3 + q1 * u2 - q2 * u1 + q3 * u0)
+                hw = hw + kw
             h1, h2, h3 = h1 + k1, h2 + k2, h3 + k3
     except ValueError as exc:  # math.cos and math.sin of an infinite angle
         raise _runaway(state.t, step) from exc
@@ -237,12 +290,14 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     if q0 < 0.0 or (q0 == 0.0 and (q1 < 0.0 or (q1 == 0.0 and (
             q2 < 0.0 or (q2 == 0.0 and q3 < 0.0))))):
         q0, q1, q2, q3 = -q0, -q1, -q2, -q3
+    if wheel:  # H = L + hw V^T x
+        h1, h2, h3 = h1 + hw * ax, h2 + hw * bx, h3 + hw * cx
     w1, w2, w3 = h1 / i1, h2 / i2, h3 / i3
     return AttitudeState(
         Quat(q0 + 0.0, q1 + 0.0, q2 + 0.0, q3 + 0.0),  # + 0.0 turns -0.0 into 0.0
         Vec3(w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,
              w1 * az + w2 * bz + w3 * cz),
-        state.wheel_momentum, state.t + dt)
+        hw, state.t + dt)
 
 
 def _runaway(t: float, step: float) -> NonFiniteStateError:

@@ -26,6 +26,7 @@ from adcslab.quatmath import (
     ZeroQuaternionError,
     normalize_canonical,
     quat_norm,
+    rotate_orbit_to_body,
     vdot,
     vnorm,
     vunit,
@@ -109,7 +110,9 @@ def make_rigid_body_dynamics(J: InertiaTensor, torque: Vec3) -> Dynamics:
 
     The control loop recomputes the torque once per step (zero-order hold),
     so within a step the torque is constant and the closure only evaluates
-    the gyroscopic term and the kinematics.
+    the gyroscopic term and the kinematics.  The gyroscopic term acts on the
+    total momentum ``J omega - hw x`` with the state's wheel momentum, which
+    RK4 holds over the step (a gyrostat with no wheel torque).
     """
     (a, b, c), (d, e, f), (g, h, i) = J.rows
     (p, qq, r), (s, t, u), (v, w, x) = (map(float, row) for row in np.linalg.inv(J.matrix))
@@ -117,7 +120,7 @@ def make_rigid_body_dynamics(J: InertiaTensor, torque: Vec3) -> Dynamics:
 
     def dynamics(state: AttitudeState) -> _Rates:
         wx, wy, wz = state.omega
-        hx = a * wx + b * wy + c * wz
+        hx = a * wx + b * wy + c * wz - state.wheel_momentum
         hy = d * wx + e * wy + f * wz
         hz = g * wx + h * wy + i * wz
         gx = tx - (wy * hz - wz * hy)
@@ -222,14 +225,18 @@ def _axis_rotation(q: Quat, H: list, i: int, half_angle: float) -> Quat:
 
 
 def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
-                        n_sub: int = 1) -> AttitudeState:
+                        n_sub: int = 1, wheel_torque: float = 0.0) -> AttitudeState:
     """The kick-drift-kick splitting step of ``propagate``, written plainly.
 
-    In the principal frame of ``J``, each of the ``n_sub`` substeps of length
-    ``h`` adds half the torque impulse to ``H``, turns the body about ``H`` by
-    ``|H| h / I2``, runs ``R1(h/2) R3(h) R1(h/2)`` (a single ``R1(h)`` when
-    ``R3``'s coefficient is zero), and adds the other half.  The arithmetic
-    is the kernel's, in the same order, so the results agree bit for bit.
+    In the principal frame of ``J``, ``H`` is the total momentum ``J omega -
+    hw x``.  Each of the ``n_sub`` substeps of length ``h`` adds half the
+    torque impulse to ``H`` and half the wheel impulse to ``hw``, turns the
+    body by ``hw J^-1 x h / 2`` (the wheel's flow, when the wheel holds
+    momentum or applies torque), turns it about ``H`` by ``|H| h / I2``, runs
+    ``R1(h/2) R3(h) R1(h/2)`` (a single ``R1(h)`` when ``R3``'s coefficient is
+    zero), turns it by the wheel's flow again, and adds the other halves.
+    ``H`` turns against each body turn.  The arithmetic is the kernel's, in
+    the same order, so the results agree bit for bit.
 
     Raises:
         ValueError: on a non-positive or non-finite ``dt``, or ``n_sub < 1``.
@@ -240,10 +247,19 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_sub < 1:
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
-    axes, (i1, i2, i3), e = J.principal_axes, J.principal_moments, J.principal_frame
+    axes, moments, e = J.principal_axes, J.principal_moments, J.principal_frame
+    i1, i2, i3 = moments
     step = dt / n_sub
-    H = [i * vdot(v, state.omega) for i, v in zip((i1, i2, i3), axes)]
+    hw = state.wheel_momentum
+    wheel = hw != 0.0 or wheel_torque != 0.0
+    x_axis = [v[0] for v in axes]  # body x in the principal frame
+    H = [i * vdot(v, state.omega) for i, v in zip(moments, axes)]
+    if wheel:
+        H = [h - hw * x for h, x in zip(H, x_axis)]
     kick = [0.5 * step * vdot(v, torque) for v in axes]
+    wheel_kick = 0.5 * step * wheel_torque
+    g = Vec3(*(x / i for x, i in zip(x_axis, moments)))  # J^-1 x
+    g_hat = Vec3(*(c / vnorm(g) for c in g))
     q = quat_multiply(state.q, e)
     casimir = 0.5 * step / i2
     r1 = 0.25 * step * (1.0 / i1 - 1.0 / i2)
@@ -254,13 +270,25 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
     try:
         for _ in range(n_sub):
             H = [h + k for h, k in zip(H, kick)]
+            if wheel:
+                hw = hw + wheel_kick
+                a = 0.25 * step * vnorm(g) * hw
+                s = math.sin(a)
+                turn = Quat(math.cos(a), s * g_hat[0], s * g_hat[1], s * g_hat[2])
+                q = quat_multiply(q, turn)
+                H = rotate_orbit_to_body(turn, H)
             hn = vnorm(H)
             if hn > 0.0:
                 a = hn * casimir
                 s = math.sin(a) / hn
                 q = quat_multiply(q, Quat(math.cos(a), s * H[0], s * H[1], s * H[2]))
+            H = list(H)
             for i, r in sequence:
                 q = _axis_rotation(q, H, i, r * H[i])
+            if wheel:
+                q = quat_multiply(q, turn)
+                H = rotate_orbit_to_body(turn, H)
+                hw = hw + wheel_kick
             H = [h + k for h, k in zip(H, kick)]
     except ValueError as exc:
         raise NonFiniteStateError(message) from exc
@@ -269,9 +297,11 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
     if not (n > 0.0 and math.isfinite(n + H[0] + H[1] + H[2])):
         raise NonFiniteStateError(message)
     q = Quat(*(c + 0.0 for c in normalize_canonical(q)))
-    w = [h / i for h, i in zip(H, (i1, i2, i3))]
+    if wheel:
+        H = [h + hw * x for h, x in zip(H, x_axis)]
+    w = [h / i for h, i in zip(H, moments)]
     omega = Vec3(*(w[0] * axes[0][j] + w[1] * axes[1][j] + w[2] * axes[2][j] for j in range(3)))
-    return AttitudeState(q, omega, state.wheel_momentum, state.t + dt)
+    return AttitudeState(q, omega, hw, state.t + dt)
 
 
 # ---------------------------------------------------------------------------

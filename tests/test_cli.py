@@ -1,6 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from adcslab.harness import TELEMETRY_COLUMNS
 from adcslab.massmodel import bundled_catalog
 
 SPIN = ["simulate", "--mode", "spin", "--quiet"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -237,6 +239,19 @@ def test_conops_command_runs_a_scheduled_sequence(tmp_path):
     assert rc == 0
     assert [m for _, m in blob["transitions"]] == \
         ["detumble", "nominal", "spin", "despin", "nominal"]
+
+
+def test_the_readme_conops_config_converges(tmp_path):
+    """The README's minimal conops run walks the whole mode sequence and is
+    back in nominal pointing before it ends."""
+    after = README.read_text(encoding="utf-8").split("A minimal conops run", 1)[1]
+    (tmp_path / "conops.json").write_text(after.split("```json", 1)[1].split("```", 1)[0])
+    rc, blob = _summary(tmp_path, ["simulate", "--config", "conops.json", "--quiet",
+                                   "--out", "run.csv"])
+    assert rc == 0
+    assert blob["final_mode"] == "nominal"
+    assert [m for _, m in blob["transitions"]] == [
+        "detumble", "nominal", "spin", "despin", "nominal"]
 
 
 def test_conops_command_rejects_non_conops_configs(tmp_path, capsys):

@@ -91,11 +91,11 @@ def test_schedule_parses_and_is_conops_only():
 def test_thresholds_and_booleans():
     s = scenario_from_dict({
         "mode": {"mode": "conops", "thresholds": {"detumble_exit_radps": 0.02}},
-        "sim": {"enable_srp": False, "orbit_rate_coupling": True},
+        "sim": {"enable_srp": False, "enable_drag": True},
     })
     assert s.thresholds.detumble_exit_radps == 0.02
     assert s.thresholds.despin_exit_radps == 1e-3
-    assert s.enable_srp is False and s.orbit_rate_coupling is True
+    assert s.enable_srp is False and s.enable_drag is True
     with pytest.raises(ConfigError, match="expected true/false"):
         scenario_from_dict({"sim": {"enable_drag": 1}})
 

@@ -340,6 +340,16 @@ def test_a_late_excursion_restarts_the_post_settle_maxima():
     assert max_cone == pytest.approx(math.degrees(math.acos(r33)), rel=1e-12)
 
 
+@pytest.mark.parametrize("mode, wx", [("spin", W_SPIN), ("despin", 5e-4)])
+def test_spin_modes_report_no_attitude_maxima(mode, wx):
+    """A spin about x sweeps the body through the orbit frame, so spin and
+    despin report the post-settle rate but no |q_e| or cone angle."""
+    q_swept = (0.0, 1.0, 0.0, 0.0)  # half a turn about x: body z points down
+    m = _fed([_row(0.0, w=(wx, 0.0, 0.0)), _row(1.0, w=(wx, 0.0, 0.0), q=q_swept)], mode=mode)
+    assert m.primary_time() == 0.0
+    assert m.post_settle() == (None, pytest.approx(wx, rel=1e-12), None)
+
+
 def test_safe_mode_maxima_cover_every_row():
     m = _fed([_row(0.0, w=(0.5, 0.0, 0.0)), _row(1.0, w=(0.1, 0.0, 0.0))], mode="safe")
     assert m.primary_time() == 0.0

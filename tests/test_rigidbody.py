@@ -266,22 +266,28 @@ def test_principal_frame_is_a_right_handed_eigenbasis(J):
 
 
 @settings(max_examples=200)
-@given(unit_quats, tumble_rates, torques, st.floats(-0.01, 0.01),
+@given(unit_quats, tumble_rates, torques, st.just(0.0) | st.floats(-0.01, 0.01),
+       st.just(0.0) | st.floats(-1e-3, 1e-3),
        st.floats(0.0, 1e4), st.floats(0.01, 0.1), st.integers(1, 12),
        st.sampled_from([J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE]))
 @example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(3.7, 3.7, 3.7), Vec3(2e-6, -1e-6, 5e-7),
-         0.004, 12.3, 0.1, 1, J_OFF_DIAGONAL)
+         0.004, 0.0, 12.3, 0.1, 1, J_OFF_DIAGONAL)
 @example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(3.7, 3.7, 3.7), Vec3(2e-6, -1e-6, 5e-7),
-         0.004, 12.3, 0.1, 7, J_FLIGHT)
-def test_propagate_matches_the_reference_step_bit_for_bit(q, w, tau, hw, t, dt, n_sub, J):
+         0.004, -7e-4, 12.3, 0.1, 7, J_FLIGHT)
+@example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(3.7, 3.7, 3.7), Vec3(2e-6, -1e-6, 5e-7),
+         0.0, 1e-3, 12.3, 0.1, 3, J_OBLATE)
+def test_propagate_matches_the_reference_step_bit_for_bit(q, w, tau, hw, tau_rw, t, dt, n_sub,
+                                                           J):
     start = _state(q, w, hw, t)
-    fused = propagate(start, J, tau, dt, n_sub)
-    ref = propagate_reference(start, J, tau, dt, n_sub)
+    fused = propagate(start, J, tau, dt, n_sub, wheel_torque=tau_rw)
+    ref = propagate_reference(start, J, tau, dt, n_sub, wheel_torque=tau_rw)
     assert fused.q == ref.q
     assert fused.omega == ref.omega
-    assert fused.wheel_momentum == hw
+    assert fused.wheel_momentum == ref.wheel_momentum
     assert fused.t == ref.t
     assert repr(fused) == repr(ref)  # signed zeros too
+    if tau_rw == 0.0:
+        assert fused.wheel_momentum == hw
 
 
 def test_torque_free_step_is_exact_for_the_axisymmetric_flight_inertia():
@@ -312,18 +318,42 @@ def test_torque_free_step_is_exact_for_the_axisymmetric_flight_inertia():
 
 
 def test_propagate_converges_at_second_order():
-    """Halving the substep quarters the error against a fine RK4, with torque."""
-    start = _state(normalize_canonical(Quat(0.3, -0.5, 0.2, 0.7)), Vec3(0.7, -1.1, 0.9))
+    """Halving the substep quarters the error against a fine RK4, with torque,
+    without and with a held wheel momentum (whose gyroscopic term RK4
+    evaluates from the state)."""
     tau = Vec3(0.3, -0.2, 0.25)
-    ref = start
     dyn = make_rigid_body_dynamics(J_OFF_DIAGONAL, tau)
-    for _ in range(4000):
-        ref = rk4_step(ref, dyn, 0.4 / 4000)
-    errors = [_max_error(propagate(start, J_OFF_DIAGONAL, tau, 0.4, n), ref)
-              for n in (1, 2, 4, 8)]
-    assert errors[0] < 1e-3
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 3.8 < coarse / fine < 4.2, errors
+    for hw in (0.0, 0.6):
+        start = _state(normalize_canonical(Quat(0.3, -0.5, 0.2, 0.7)), Vec3(0.7, -1.1, 0.9), hw)
+        ref = start
+        for _ in range(4000):
+            ref = rk4_step(ref, dyn, 0.4 / 4000)
+        errors = [_max_error(propagate(start, J_OFF_DIAGONAL, tau, 0.4, n), ref)
+                  for n in (1, 2, 4, 8)]
+        assert errors[0] < 1e-3
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.8 < coarse / fine < 4.2, (hw, errors)
+
+
+def _total_momentum_in_orbit_frame(state, J):
+    L = J.dot(state.omega)
+    return rotate_body_to_orbit(state.q, Vec3(L.x - state.wheel_momentum, L.y, L.z))
+
+
+@settings(max_examples=100)
+@given(unit_quats, tumble_rates, st.floats(-0.5, 0.5), st.floats(-0.3, 0.3),
+       st.integers(1, 12), st.sampled_from([J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE]))
+def test_the_wheel_torque_moves_momentum_between_wheel_and_body(q, w, hw, tau_rw, n_sub, J):
+    """Without external torque the total momentum J omega - hw x keeps its
+    direction and size in the orbit frame, while the wheel's share changes
+    by the wheel torque's impulse."""
+    start = _state(q, w, hw)
+    out = propagate(start, J, ZERO3, 0.1, n_sub, wheel_torque=tau_rw)
+    before = _total_momentum_in_orbit_frame(start, J)
+    after = _total_momentum_in_orbit_frame(out, J)
+    scale = max(1.0, math.sqrt(sum(c * c for c in before)))
+    assert max(abs(a - b) for a, b in zip(after, before)) < 1e-13 * scale
+    assert out.wheel_momentum == pytest.approx(hw + 0.1 * tau_rw, abs=1e-14)  # up to 24 rounded half-kicks
 
 
 def test_propagate_bad_dt_rejected():

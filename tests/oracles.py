@@ -276,13 +276,12 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
                 s = math.sin(a)
                 turn = Quat(math.cos(a), s * g_hat[0], s * g_hat[1], s * g_hat[2])
                 q = quat_multiply(q, turn)
-                H = rotate_orbit_to_body(turn, H)
+                H = list(rotate_orbit_to_body(turn, H))
             hn = vnorm(H)
             if hn > 0.0:
                 a = hn * casimir
                 s = math.sin(a) / hn
                 q = quat_multiply(q, Quat(math.cos(a), s * H[0], s * H[1], s * H[2]))
-            H = list(H)
             for i, r in sequence:
                 q = _axis_rotation(q, H, i, r * H[i])
             if wheel:

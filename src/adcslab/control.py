@@ -2,10 +2,13 @@
 
 The controller family is deliberately simple and gain-driven:
 
-* de-tumble / nominal: proportional-derivative law on the quaternion error
-  vector part and the rate error, applied through the magnetorquers,
+* de-tumble / nominal: proportional-derivative law on the quaternion
+  vector part and the body rate, applied through the magnetorquers,
 
-      tau = -Kp * q_e_vec - Kd * omega_e
+      tau = -Kp * q_vec - Kd * omega
+
+  (the target is the orbit frame at rest, so both are their own errors and
+  :func:`pd_torque` reads them straight from the state),
 
 * spin / de-spin: the x-axis reaction wheel tracks the commanded spin rate
   while the magnetorquers damp the transverse rates,
@@ -13,7 +16,8 @@ The controller family is deliberately simple and gain-driven:
       tau_rw = -K1 * omega_e.x        tau_m = -K2 * (0, omega_e.y, omega_e.z)
 
 The pointing target is the orbit frame, so the quaternion error is the
-vector part of the sign-canonicalized attitude quaternion itself.
+vector part of the sign-canonicalized attitude quaternion itself;
+:func:`error_state` forms it with the rate error against the spin target.
 
 Magnetorquer allocation runs at two fidelities: IDEAL treats the commanded
 torque as directly realizable up to a per-axis clamp; PHYSICAL converts it to
@@ -31,7 +35,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .quatmath import Quat, Vec3, visfinite, vnorm
+from .quatmath import ZERO3, Quat, Vec3, visfinite, vnorm
 
 __all__ = [
     "Gains",
@@ -161,13 +165,18 @@ def error_state(q: Quat, omega: Vec3, omega_d: Vec3) -> ErrorState:
                            omega[2] - omega_d[2]))
 
 
-def pd_torque(err: ErrorState, gains: Gains) -> Vec3:
-    """Attitude PD law used by the de-tumble and nominal modes."""
-    return Vec3(
-        -gains.kp * err.q_e_vec[0] - gains.kd * err.omega_e[0],
-        -gains.kp * err.q_e_vec[1] - gains.kd * err.omega_e[1],
-        -gains.kp * err.q_e_vec[2] - gains.kd * err.omega_e[2],
-    )
+def pd_torque(q: Quat, omega: Vec3, gains: Gains) -> Vec3:
+    """Attitude PD law used by the de-tumble and nominal modes.
+
+    ``q`` (sign-canonicalized, relative to the orbit frame) and ``omega`` are
+    the state itself: toward the orbit frame at rest, the attitude error is
+    the vector part of ``q`` and the rate error is ``omega``, bit for bit the
+    ``error_state(q, omega, ZERO3)`` pair (``w - 0.0`` is ``w``, -0.0 too).
+    """
+    kp, kd = gains.kp, gains.kd
+    return Vec3(-kp * q[1] - kd * omega[0],
+                -kp * q[2] - kd * omega[1],
+                -kp * q[3] - kd * omega[2])
 
 
 def spin_torques(err: ErrorState, gains: Gains) -> tuple[float, Vec3]:
@@ -210,11 +219,12 @@ def allocate_magnetorquer(
     """
     if fidelity is Fidelity.IDEAL:
         lim = limits.max_magnetic_torque_nm
-        tau = Vec3(_clamp(tau_desired[0], lim),
-                   _clamp(tau_desired[1], lim),
-                   _clamp(tau_desired[2], lim))
-        saturated = tau != tau_desired
-        return TorqueCommand(tau, Vec3(0.0, 0.0, 0.0), 0.0, saturated, False)
+        x, y, z = tau_desired
+        tau = Vec3(lim if x > lim else -lim if x < -lim else x,
+                   lim if y > lim else -lim if y < -lim else y,
+                   lim if z > lim else -lim if z < -lim else z)
+        saturated = x > lim or x < -lim or y > lim or y < -lim or z > lim or z < -lim
+        return TorqueCommand(tau, ZERO3, 0.0, saturated, False)
 
     bx, by, bz = b_body
     b2 = bx * bx + by * by + bz * bz

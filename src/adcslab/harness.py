@@ -8,7 +8,10 @@ closed loop
     sample environment -> disturbance torques -> mode controller ->
     actuator models -> rigidbody.propagate
 
-and returns decimated telemetry plus a :class:`RunResult` of metrics.  The
+and returns decimated telemetry plus a :class:`RunResult` of metrics.
+:func:`run_scenario_metrics`, and so every Monte Carlo member, runs with
+``telemetry=False``: each row still feeds the metrics as it is made, but no
+row is kept, so a run's memory does not grow with its length.  The
 loop computes no dynamics itself: it hands the held external torque
 (magnetics plus disturbances) and the wheel's torque to
 :func:`~adcslab.rigidbody.propagate`, whose kick-drift-kick splitting
@@ -495,8 +498,13 @@ class _Metrics:
         return self.max_qe, self.max_speed, self.max_cone
 
 
-def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
+def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, RunResult]:
     """Propagate one scenario and extract its metrics.
+
+    With ``telemetry=False`` every row is still made and fed to the metrics
+    at the telemetry cadence, but none is kept: the returned
+    :class:`Telemetry` is empty and the :class:`RunResult` is the same.
+    :func:`run_scenario_metrics` and Monte Carlo members run this way.
 
     Raises:
         DivergenceError: the state went non-finite (step and time attached).
@@ -546,7 +554,8 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
             c.tau_m[0], c.tau_m[1], c.tau_m[2],
             c.tau_rw, st.wheel_momentum, m.value,
         )
-        rows.append(row)
+        if telemetry:
+            rows.append(row)
         metrics.add(row)
 
     for k in range(n_steps):
@@ -570,13 +579,13 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
         if mode is Mode.SAFE:
             cmd = _ZERO_CMD
         else:
-            spin = mode is Mode.SPIN
-            wheel = spin or mode is Mode.DESPIN
-            err = error_state(state.q, state.omega, spin_omega if spin else ZERO3)
+            wheel = mode is Mode.SPIN or mode is Mode.DESPIN
             if wheel:
+                err = error_state(state.q, state.omega,
+                                  spin_omega if mode is Mode.SPIN else ZERO3)
                 tau_rw_cmd, tau_m_des = spin_torques(err, gains)
             else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
-                tau_m_des = pd_torque(err, gains)
+                tau_m_des = pd_torque(state.q, state.omega, gains)
             cmd = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
             if wheel:
                 ws = wheel_step(tau_rw_cmd, hw, limits, dt)
@@ -660,8 +669,8 @@ def run_scenario(s: Scenario) -> tuple[Telemetry, RunResult]:
 
 
 def run_scenario_metrics(s: Scenario) -> RunResult:
-    """run_scenario without the telemetry; cheap to ship across processes."""
-    return run_scenario(s)[1]
+    """run_scenario keeping no telemetry rows; cheap to ship across processes."""
+    return run_scenario(s, telemetry=False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -693,22 +702,29 @@ def _mc_scenario(base: Scenario, master_seed: int, index: int,
     return replace(base, **updates)
 
 
-def _failed_result(s: Scenario, exc: DivergenceError) -> RunResult:
-    """A diverged run: the mode it was in and the step it reached; no metrics."""
+def _failed_result(s: Scenario, final_mode: str, steps: int, error: str) -> RunResult:
+    """A failed run: the mode it was in and the step it reached; no metrics."""
     return RunResult(
-        scenario_name=s.name, mode=s.mode, final_mode=exc.mode,
+        scenario_name=s.name, mode=s.mode, final_mode=final_mode,
         orbit_period_s=orbit_period(s.orbit), duration_s=s.resolved_duration_s(),
-        dt_s=s.dt_s, steps=exc.step, error=str(exc),
+        dt_s=s.dt_s, steps=steps, error=error,
     )
 
 
 def _mc_run(args) -> RunResult:
+    """One member; a divergence or any other error is reported in its result.
+
+    Any other exception carries no step, so it reports step 0 in the
+    scenario's mode, with the error as ``"<TypeName>: <message>"``.
+    """
     base, master_seed, index, vary, omega_rpm_range = args
     s = _mc_scenario(base, master_seed, index, vary, omega_rpm_range)
     try:
         return run_scenario_metrics(s)
     except DivergenceError as exc:
-        return _failed_result(s, exc)
+        return _failed_result(s, exc.mode, exc.step, str(exc))
+    except Exception as exc:
+        return _failed_result(s, s.mode, 0, f"{type(exc).__name__}: {exc}")
 
 
 _SUMMARY_METRICS = ("detumble_time_orbits", "spin_settle_time_s",
@@ -748,7 +764,9 @@ def monte_carlo(
     chamber) and/or "omega" (per-axis uniform initial rate over
     ``omega_rpm_range``, in RPM).  Per-run seeds derive from (seed, index), so
     the result is independent of ``workers`` and execution order; divergent
-    runs are reported in their RunResult rather than aborting the batch.
+    runs, and runs that raise any other error, are reported in their
+    RunResult rather than aborting the batch.  Members keep no telemetry rows
+    (see :func:`run_scenario_metrics`).
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")

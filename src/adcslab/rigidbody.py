@@ -71,9 +71,13 @@ class InertiaTensor:
     ``principal_moments`` (the middle one second; an equal pair second and
     third), right-handed unit ``principal_axes`` in the structure frame, and
     ``principal_frame``, the quaternion whose matrix has them as columns.
+    ``kernel`` is what :func:`propagate` unpacks, flat and built once: the
+    nine axis components, the three moments, the frame quaternion, and the
+    rotation rates ``1/I1 - 1/I2`` and ``1/I3 - 1/I2``.
     """
 
-    __slots__ = ("_m", "rows", "principal_moments", "principal_axes", "principal_frame")
+    __slots__ = ("_m", "rows", "principal_moments", "principal_axes", "principal_frame",
+                 "kernel")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=float)
@@ -108,6 +112,10 @@ class InertiaTensor:
         self.principal_axes = tuple(Vec3(*map(float, axes[:, k])) for k in range(3))
         self.principal_frame = _quat_from_matrix(axes)
         self.rows = tuple(tuple(float(x) for x in row) for row in m)
+        i1, i2, i3 = self.principal_moments
+        self.kernel = (*(x for axis in self.principal_axes for x in axis),
+                       i1, i2, i3, *self.principal_frame,
+                       1.0 / i1 - 1.0 / i2, 1.0 / i3 - 1.0 / i2)
 
     @classmethod
     def diagonal(cls, jxx: float, jyy: float, jzz: float) -> "InertiaTensor":
@@ -167,9 +175,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_sub < 1:
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = J.principal_axes
-    i1, i2, i3 = J.principal_moments
-    e0, e1, e2, e3 = J.principal_frame
+    ax, ay, az, bx, by, bz, cx, cy, cz, i1, i2, i3, e0, e1, e2, e3, d1, d3 = J.kernel
     tx, ty, tz = torque
     wx, wy, wz = state.omega
     q0, q1, q2, q3 = state.q
@@ -193,8 +199,8 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     # Half rotation angles per unit momentum: the Casimir rotation over the
     # substep, R1 over half of it and R3 over all of it.
     casimir = 0.5 * step / i2
-    r1 = 0.25 * step * (1.0 / i1 - 1.0 / i2)
-    r3 = 0.5 * step * (1.0 / i3 - 1.0 / i2)
+    r1 = 0.25 * step * d1
+    r3 = 0.5 * step * d3
     merged = r3 == 0.0  # I2 == I3: R1(h/2) R1(h/2) is one R1(h)
     if merged:
         r1 = r1 + r1

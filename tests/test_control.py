@@ -21,7 +21,7 @@ from adcslab.control import (
     total_control,
     wheel_step,
 )
-from adcslab.quatmath import IDENTITY, RPM_TO_RADPS, Vec3, vcross, vdot, vnorm
+from adcslab.quatmath import IDENTITY, RPM_TO_RADPS, Quat, Vec3, vcross, vdot, vnorm
 from oracles import quat_from_axis_angle
 
 GAINS = Gains()
@@ -76,24 +76,43 @@ def test_additive_error_is_component_difference():
 
 # ------------------------------------------------------------- PD law
 
+def _q(v):
+    """A quaternion with vector part ``v``; the PD law reads only that part."""
+    return Quat(1.0, *v)
+
+
 def test_pd_hand_value():
     """q_e = (0.1, 0, 0) against kp = 9e-5 asks for -9e-6 N*m about x."""
-    tau = pd_torque(_err(q_e=Vec3(0.1, 0.0, 0.0)), GAINS)
+    tau = pd_torque(_q(Vec3(0.1, 0.0, 0.0)), Vec3(0.0, 0.0, 0.0), GAINS)
     assert tau == pytest.approx((-9e-6, 0.0, 0.0), rel=1e-12)
 
 
 def test_pd_damps_rates():
-    tau = pd_torque(_err(w_e=Vec3(0.0, -0.01, 0.0)), GAINS)
+    tau = pd_torque(IDENTITY, Vec3(0.0, -0.01, 0.0), GAINS)
     assert tau == pytest.approx((0.0, 9e-5, 0.0), rel=1e-12)
 
 
 @given(vec3s, vec3s, vec3s, vec3s)
 def test_pd_is_linear(qa, wa, qb, wb):
-    both = pd_torque(ErrorState(Vec3(qa.x + qb.x, qa.y + qb.y, qa.z + qb.z),
-                                Vec3(wa.x + wb.x, wa.y + wb.y, wa.z + wb.z)), GAINS)
-    a = pd_torque(ErrorState(qa, wa), GAINS)
-    b = pd_torque(ErrorState(qb, wb), GAINS)
+    both = pd_torque(_q(Vec3(qa.x + qb.x, qa.y + qb.y, qa.z + qb.z)),
+                     Vec3(wa.x + wb.x, wa.y + wb.y, wa.z + wb.z), GAINS)
+    a = pd_torque(_q(qa), wa, GAINS)
+    b = pd_torque(_q(qb), wb, GAINS)
     assert both == pytest.approx((a.x + b.x, a.y + b.y, a.z + b.z), rel=1e-9, abs=1e-20)
+
+
+signed = st.floats(-1e-3, 1e-3) | st.sampled_from([0.0, -0.0])
+
+
+@given(st.builds(Quat, signed, signed, signed, signed),
+       st.builds(Vec3, signed, signed, signed))
+def test_pd_reads_the_error_state_toward_the_orbit_frame_bit_for_bit(q, w):
+    """The state is its own error toward the orbit frame at rest: the law
+    matches the error_state form exactly, the signs of zeros included."""
+    err = error_state(q, w, Vec3(0.0, 0.0, 0.0))
+    want = tuple(-GAINS.kp * e - GAINS.kd * r for e, r in zip(err.q_e_vec, err.omega_e))
+    got = pd_torque(q, w, GAINS)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 # ------------------------------------------------------------- spin laws
@@ -139,6 +158,20 @@ def test_ideal_allocation_at_the_limit_is_not_saturated():
     cmd = allocate_magnetorquer(Vec3(lim, -lim, 0.0), Vec3(0.0, 0.0, 0.0), LIMITS)
     assert cmd.tau_m == Vec3(lim, -lim, 0.0)
     assert not cmd.magnetic_saturated
+
+
+torques = st.floats(-3e-5, 3e-5) | st.sampled_from([0.0, -0.0, 1e-5, -1e-5])
+
+
+@given(st.builds(Vec3, torques, torques, torques))
+def test_ideal_allocation_is_the_per_axis_clamp_bit_for_bit(tau):
+    lim = LIMITS.max_magnetic_torque_nm
+    want = [min(max(x, -lim), lim) for x in tau]
+    cmd = allocate_magnetorquer(tau, Vec3(0.0, 0.0, 0.0), LIMITS, Fidelity.IDEAL)
+    assert [x.hex() for x in cmd.tau_m] == [x.hex() for x in want]
+    assert type(cmd.tau_m) is Vec3 and cmd.dipole == Vec3(0.0, 0.0, 0.0)
+    assert cmd.magnetic_saturated == any(abs(x) > lim for x in tau)
+    assert (cmd.tau_rw, cmd.wheel_saturated) == (0.0, False)
 
 
 # ------------------------------------------------------------- physical allocation

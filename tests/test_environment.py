@@ -117,6 +117,16 @@ def test_equatorial_orbit_stays_in_plane():
     assert all(abs(propagate_orbit(cfg, t).position_m.z) < 1e-6 for t in range(0, 6000, 500))
 
 
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_cached_orbit_constants_keep_the_sign_of_a_zero(zeros):
+    """The orbit constants are cached by the bits of the config's fields, so
+    a config equal to a cached one but for the sign of a zero gets its own
+    values, whichever ran first.  At t = 0, -sin(raan) is the velocity's x."""
+    for raan in zeros:
+        vx = propagate_orbit(OrbitConfig(raan_deg=raan), 0.0).velocity_mps.x
+        assert vx == 0.0 and math.copysign(1.0, vx) == -math.copysign(1.0, raan)
+
+
 def test_altitude_outside_band_rejected():
     with pytest.raises(AltitudeRangeError):
         OrbitConfig(altitude_km=150.0)

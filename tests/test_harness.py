@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from adcslab.control import ActuatorLimits, Fidelity, Gains
+from adcslab import harness
+from adcslab.control import ActuatorLimits, Fidelity, Gains, ZeroFieldError
 from adcslab.environment import OrbitConfig, orbit_period
 from adcslab.harness import (
     MAX_SUBSTEPS,
@@ -251,6 +253,49 @@ def test_a_rate_beyond_the_substep_cap_is_a_divergence():
     assert (exc.value.step, exc.value.t, exc.value.mode) == (0, 0.0, "safe")
 
 
+# ------------------------------------------------------------- metrics-only runs
+
+METRICS_ONLY = {
+    "detumble": default_scenario("detumble", duration_orbits=None, duration_s=300.0),
+    "spin, physical": default_scenario("spin", fidelity=Fidelity.PHYSICAL,
+                                       regolith_policy="sampled", seed=11),
+    "conops": default_scenario("conops", duration_orbits=None, duration_s=240.0,
+                               omega0_radps=Vec3(0.002, -0.001, 0.001),
+                               schedule=((60.0, "spin"), (120.0, "despin"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRICS_ONLY))
+def test_a_metrics_only_run_reports_what_a_full_run_reports(name):
+    s = METRICS_ONLY[name]
+    tel, res = run_scenario(s)
+    assert len(tel) > 0
+    assert run_scenario_metrics(s) == res
+    tel_off, res_off = run_scenario(s, telemetry=False)
+    assert len(tel_off) == 0 and res_off == res
+
+
+def test_the_short_conops_run_walks_the_full_mode_sequence():
+    """So the parity check above covers every mode the state machine visits."""
+    res = run_scenario_metrics(METRICS_ONLY["conops"])
+    labels = [m for _, m in res.transitions]
+    assert labels == ["detumble", "nominal", "spin", "despin", "nominal"]
+
+
+def test_a_metrics_only_run_keeps_no_rows_in_memory():
+    """6,001 rows of a full run take about 3.4 MB; a metrics-only run keeps none."""
+    s = default_scenario("detumble", duration_orbits=None, duration_s=600.0,
+                         telemetry_cadence_s=0.1)
+    tracemalloc.start()
+    try:
+        res = run_scenario_metrics(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.steps == 6000
+    assert peak < 1_000_000
+
+
 def test_run_result_is_json_serializable():
     res = run_scenario_metrics(default_scenario("spin"))
     blob = json.loads(json.dumps(res.to_dict()))
@@ -445,6 +490,31 @@ def test_monte_carlo_reports_divergence_instead_of_raising():
             "regolith_position_cm": None, "transitions": [],
             "error": str(diverged.value),
         }
+
+
+def test_monte_carlo_reports_any_member_error_with_its_type(monkeypatch):
+    """A member that raises something other than a divergence is reported in
+    its result, typed, and the other members are those of a clean batch."""
+    base = default_scenario("spin", duration_s=5.0)
+    clean = monte_carlo(base, 3, seed=4, vary=("regolith",))
+    inner = harness.run_scenario_metrics
+
+    def flaky(s):
+        if s.name == "spin-default[1]":
+            raise ZeroFieldError("cannot allocate a dipole in a zero magnetic field")
+        return inner(s)
+
+    monkeypatch.setattr(harness, "run_scenario_metrics", flaky)
+    mc = monte_carlo(base, 3, seed=4, vary=("regolith",))
+    failed = mc.results[1]
+    assert failed.error == "ZeroFieldError: cannot allocate a dipole in a zero magnetic field"
+    assert (failed.scenario_name, failed.mode, failed.final_mode) == (
+        "spin-default[1]", "spin", "spin")
+    assert (failed.steps, failed.converged) == (0, False)
+    assert [mc.results[i].to_dict() for i in (0, 2)] == [clean.results[i].to_dict()
+                                                          for i in (0, 2)]
+    assert (mc.summary["runs"], mc.summary["diverged"]) == (3, 1)
+    assert mc.summary["converged"] == clean.results[0].converged + clean.results[2].converged
 
 
 # ------------------------------------------------------------- presets

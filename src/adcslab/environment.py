@@ -13,11 +13,9 @@ Frames
 The orbit is circular two-body motion at a fixed altitude (drag perturbs the
 attitude, not the orbit, over the mission spans simulated here).
 
-What depends only on the orbit, the dipole tilt and the sun vector (the mean
-motion, the orbit plane's trig, the dipole axis and field scale, the sun unit
-vector, the density) is computed once per distinct input and cached, keyed
-on the inputs' exact bits, so -0.0 and 0.0 stay apart and a cached value is
-the one the input would give.
+Every function here is a pure function of its arguments, and the per-instant
+records (:class:`OrbitState`, :class:`OrbitFrameSample`,
+:class:`EnvironmentSample`) are NamedTuples, like the ``quatmath`` vectors.
 """
 
 from __future__ import annotations
@@ -25,10 +23,9 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .quatmath import Quat, Vec3, rotate_orbit_to_body, vcross, vdot, visfinite, vnorm, vunit
 from .rigidbody import InertiaTensor
@@ -118,11 +115,6 @@ def atmospheric_density(altitude_km: float) -> float:
     return _ATMOSPHERE.density(altitude_km)
 
 
-def _bits(*values: float) -> bytes:
-    """The exact bits of ``values``, a cache key that tells -0.0 from 0.0."""
-    return struct.pack(f"{len(values)}d", *values)
-
-
 # ---------------------------------------------------------------------------
 # Orbit
 # ---------------------------------------------------------------------------
@@ -154,8 +146,7 @@ class OrbitConfig:
         return _CONSTANTS.earth_radius_m + 1000.0 * self.altitude_km
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitState:
+class OrbitState(NamedTuple):
     """Inertial position/velocity plus the orbit-frame basis (inertial coords)."""
 
     position_m: Vec3
@@ -180,33 +171,25 @@ def orbit_period(cfg: OrbitConfig) -> float:
     return 2.0 * math.pi * math.sqrt(a * a * a / _CONSTANTS.mu_m3s2)
 
 
-@lru_cache(maxsize=16)
-def _orbit_constants(key: bytes) -> tuple:
-    """Radius, mean motion, phase at t = 0 (rad), the orbit plane's in-plane
-    basis and the speed of the orbit whose fields have the bits ``key``."""
-    altitude_km, inclination_deg, raan_deg, phase_deg = struct.unpack("4d", key)
-    a = OrbitConfig(altitude_km=altitude_km).radius_m
+def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
+    """Two-body circular orbit state at time ``t`` seconds."""
+    a = cfg.radius_m
     n = math.sqrt(_CONSTANTS.mu_m3s2 / (a * a * a))
-    inc = math.radians(inclination_deg)
-    raan = math.radians(raan_deg)
+    u = math.radians(cfg.phase_deg) + n * t
+    cu, su = math.cos(u), math.sin(u)
+
+    inc = math.radians(cfg.inclination_deg)
+    raan = math.radians(cfg.raan_deg)
     ci, si = math.cos(inc), math.sin(inc)
     cO, sO = math.cos(raan), math.sin(raan)
     # Columns of Rz(raan) @ Rx(inc): in-plane basis vectors in inertial coords.
     p_hat = Vec3(cO, sO, 0.0)
     q_hat = Vec3(-sO * ci, cO * ci, si)
-    return a, n, math.radians(phase_deg), p_hat, q_hat, n * a
-
-
-def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
-    """Two-body circular orbit state at time ``t`` seconds."""
-    a, n, phase, p_hat, q_hat, speed = _orbit_constants(
-        _bits(cfg.altitude_km, cfg.inclination_deg, cfg.raan_deg, cfg.phase_deg))
-    u = phase + n * t
-    cu, su = math.cos(u), math.sin(u)
 
     r = Vec3(a * (cu * p_hat[0] + su * q_hat[0]),
              a * (cu * p_hat[1] + su * q_hat[1]),
              a * (cu * p_hat[2] + su * q_hat[2]))
+    speed = n * a
     v = Vec3(speed * (-su * p_hat[0] + cu * q_hat[0]),
              speed * (-su * p_hat[1] + cu * q_hat[1]),
              speed * (-su * p_hat[2] + cu * q_hat[2]))
@@ -228,24 +211,16 @@ def magnetic_field(orbit: OrbitState,
     B = B0 (Re/r)^3 (3 (m.r_hat) r_hat - m_hat), with the dipole axis tilted
     ``tilt_deg`` from the inertial z axis (tilt of 0 gives an axis-aligned dipole).
     """
-    m_hat, scale = _dipole(_bits(tilt_deg, orbit.radius_m))
+    tilt = math.radians(tilt_deg)
+    m_hat = Vec3(math.sin(tilt), 0.0, math.cos(tilt))
     r_hat = vunit(orbit.position_m)
+    scale = _CONSTANTS.dipole_b0_tesla * (_CONSTANTS.earth_radius_m / orbit.radius_m) ** 3
     mr = vdot(m_hat, r_hat)
     return Vec3(
         scale * (3.0 * mr * r_hat[0] - m_hat[0]),
         scale * (3.0 * mr * r_hat[1] - m_hat[1]),
         scale * (3.0 * mr * r_hat[2] - m_hat[2]),
     )
-
-
-@lru_cache(maxsize=16)
-def _dipole(key: bytes) -> tuple[Vec3, float]:
-    """The dipole axis and the field scale B0 (Re/r)^3 for the (tilt in
-    degrees, orbit radius in m) with the bits ``key``."""
-    tilt_deg, radius_m = struct.unpack("2d", key)
-    tilt = math.radians(tilt_deg)
-    return (Vec3(math.sin(tilt), 0.0, math.cos(tilt)),
-            _CONSTANTS.dipole_b0_tesla * (_CONSTANTS.earth_radius_m / radius_m) ** 3)
 
 
 def _in_eclipse(r: Vec3, s_hat: Vec3) -> bool:
@@ -315,8 +290,7 @@ class SpacecraftGeometry:
         return cls(faces, drag_coefficient, specular_reflectance, diffuse_reflectance)
 
 
-@dataclass(frozen=True, slots=True)
-class EnvironmentSample:
+class EnvironmentSample(NamedTuple):
     """The disturbance-torque inputs expressed in the body frame at one instant.
 
     The field is left out: the magnetorquers rotate ``b_orbit_tesla`` at
@@ -426,8 +400,7 @@ def total_disturbance(
     return Vec3(tx, ty, tz)
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitFrameSample:
+class OrbitFrameSample(NamedTuple):
     """Environment quantities in the orbit frame, independent of attitude.
 
     These evolve on the orbit timescale, so a simulation loop can refresh them
@@ -462,20 +435,13 @@ def orbit_frame_sample(
     """Attitude-independent environment snapshot at time ``t``, orbit frame."""
     orbit = propagate_orbit(cfg, t)
     b_orbit = orbit.to_orbit_frame(magnetic_field(orbit, dipole_tilt_deg))
-    s_hat, density = _sun_and_density(_bits(*sun_inertial, cfg.altitude_km))
+    s_hat = vunit(sun_inertial)
     return OrbitFrameSample(
         b_orbit_tesla=b_orbit,
         sun_orbit=orbit.to_orbit_frame(s_hat),
         in_eclipse=_in_eclipse(orbit.position_m, s_hat),
-        density_kgm3=density,
+        density_kgm3=atmospheric_density(cfg.altitude_km),
         v_orbit_mps=Vec3(orbit.speed_mps, 0.0, 0.0),  # x is along velocity by construction
         r_orbit_m=Vec3(0.0, 0.0, -orbit.radius_m),    # z points toward the Earth's center
     )
 
-
-@lru_cache(maxsize=16)
-def _sun_and_density(key: bytes) -> tuple[Vec3, float]:
-    """The sun unit vector and the density for the (inertial sun vector,
-    altitude in km) with the bits ``key``."""
-    sx, sy, sz, altitude_km = struct.unpack("4d", key)
-    return vunit(Vec3(sx, sy, sz)), atmospheric_density(altitude_km)

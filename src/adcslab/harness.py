@@ -55,6 +55,7 @@ from .control import (
 from .environment import (
     OrbitConfig,
     SpacecraftGeometry,
+    constants,
     orbit_frame_sample,
     orbit_period,
     total_disturbance,
@@ -183,7 +184,7 @@ class Scenario:
     # orbit and environment
     orbit: OrbitConfig = OrbitConfig()
     sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0)
-    dipole_tilt_deg: float = 11.5
+    dipole_tilt_deg: float = constants().default_dipole_tilt_deg
     geometry: SpacecraftGeometry = SpacecraftGeometry.box()  # 1U x 3.4U box
     enable_drag: bool = True
     enable_srp: bool = True
@@ -703,11 +704,13 @@ def _mc_scenario(base: Scenario, master_seed: int, index: int,
 
 
 def _failed_result(s: Scenario, final_mode: str, steps: int, error: str) -> RunResult:
-    """A failed run: the mode it was in and the step it reached; no metrics."""
+    """A failed run: the mode it was in, the step it reached and its fixed
+    regolith placement; no metrics."""
     return RunResult(
         scenario_name=s.name, mode=s.mode, final_mode=final_mode,
         orbit_period_s=orbit_period(s.orbit), duration_s=s.resolved_duration_s(),
         dt_s=s.dt_s, steps=steps, error=error,
+        regolith_position_cm=s.regolith_fixed_cm if s.regolith_policy == "fixed" else None,
     )
 
 
@@ -762,9 +765,10 @@ def monte_carlo(
 
     ``vary`` may contain "regolith" (uniform placement over the payload
     chamber) and/or "omega" (per-axis uniform initial rate over
-    ``omega_rpm_range``, in RPM).  Per-run seeds derive from (seed, index), so
-    the result is independent of ``workers`` and execution order; divergent
-    runs, and runs that raise any other error, are reported in their
+    ``omega_rpm_range``, in RPM, which is rejected unless "omega" is varied
+    and lo <= hi with a finite hi - lo).  Per-run seeds derive from (seed,
+    index), so the result is independent of ``workers`` and execution order;
+    divergent runs, and runs that raise any other error, are reported in their
     RunResult rather than aborting the batch.  Members keep no telemetry rows
     (see :func:`run_scenario_metrics`).
     """
@@ -778,6 +782,13 @@ def monte_carlo(
             raise ValueError(f"unknown variation {v!r}; expected 'regolith' or 'omega'")
     if "omega" in vary and omega_rpm_range is None:
         raise ValueError("varying omega needs omega_rpm_range=(lo, hi) in RPM")
+    if omega_rpm_range is not None:
+        if "omega" not in vary:
+            raise ValueError("omega_rpm_range is only used when vary includes 'omega'")
+        lo, hi = omega_rpm_range
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise ValueError(f"omega_rpm_range must be (lo, hi) with lo <= hi and a finite "
+                             f"hi - lo, got {tuple(omega_rpm_range)}")
     tasks = [(base, seed, i, vary, omega_rpm_range) for i in range(n_runs)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -349,6 +349,18 @@ def test_montecarlo_flag_validation(capsys):
     assert main(MC + ["--omega-range", "1", "--vary", "omega", "--out", "mc.csv"]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--omega-range", "1,2"],                                  # without --vary omega
+    ["--vary", "omega", "--omega-range", "nan,1"],
+    ["--vary", "omega", "--omega-range=-1e308,1e308"],
+    ["--vary", "omega", "--omega-range", "5,1"],
+])
+def test_montecarlo_rejects_a_bad_omega_range(flags, capsys):
+    assert main(MC + flags + ["--out", "mc.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "omega_rpm_range" in err
+
+
 # ------------------------------------------------------------- parser plumbing
 
 def test_parser_defaults():

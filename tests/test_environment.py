@@ -119,12 +119,49 @@ def test_equatorial_orbit_stays_in_plane():
 
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
 def test_cached_orbit_constants_keep_the_sign_of_a_zero(zeros):
-    """The orbit constants are cached by the bits of the config's fields, so
-    a config equal to a cached one but for the sign of a zero gets its own
+    """A config equal to another but for the sign of a zero gets its own
     values, whichever ran first.  At t = 0, -sin(raan) is the velocity's x."""
     for raan in zeros:
         vx = propagate_orbit(OrbitConfig(raan_deg=raan), 0.0).velocity_mps.x
         assert vx == 0.0 and math.copysign(1.0, vx) == -math.copysign(1.0, raan)
+
+
+def _hexes(record) -> list:
+    """Every float of a (nested) NamedTuple record as ``float.hex``; bools as is."""
+    out = []
+    for x in record:
+        if isinstance(x, tuple):
+            out.extend(_hexes(x))
+        else:
+            out.append(x if isinstance(x, bool) else float.hex(x))
+    return out
+
+
+def _flip_zero(x: float) -> float:
+    return -x if x == 0.0 else x
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+angles = st.one_of(signed_zero, st.floats(-360.0, 360.0))
+sun_vectors = st.builds(Vec3, *[st.one_of(signed_zero, st.floats(-1.0, 1.0))] * 3).filter(
+    lambda v: vnorm(v) > 1e-3)
+
+
+@given(altitude=st.floats(200.0, 2000.0), inclination=angles, raan=angles, phase=angles,
+       tilt=angles, sun=sun_vectors, t=st.one_of(signed_zero, st.floats(0.0, 1e5)))
+@settings(max_examples=60, deadline=None)
+def test_environment_is_a_pure_function_of_its_inputs(altitude, inclination, raan, phase,
+                                                      tilt, sun, t):
+    """The sample for some inputs does not depend on what ran before, even
+    when that run differed only in the sign of its zeros.  Every field of
+    the config, the tilt and the sun vector may be a signed zero; the
+    altitude has no zero in its band."""
+    cfg = OrbitConfig(altitude, inclination, raan, phase)
+    flipped = OrbitConfig(altitude, _flip_zero(inclination), _flip_zero(raan),
+                          _flip_zero(phase))
+    first = _hexes(orbit_frame_sample(cfg, t, sun, tilt))
+    orbit_frame_sample(flipped, t, Vec3(*map(_flip_zero, sun)), _flip_zero(tilt))
+    assert _hexes(orbit_frame_sample(cfg, t, sun, tilt)) == first
 
 
 def test_altitude_outside_band_rejected():

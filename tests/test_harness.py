@@ -413,6 +413,40 @@ def test_monte_carlo_validates_inputs():
         monte_carlo(base, 2, seed=1, vary=("omega",))            # missing range
 
 
+@pytest.mark.parametrize("vary, omega_rpm_range", [
+    (("regolith",), (-1.0, 1.0)),             # a range nothing uses
+    (("omega",), (math.nan, 1.0)),
+    (("omega",), (-1.0, math.nan)),
+    (("omega",), (-1e308, 1e308)),            # hi - lo overflows
+    (("omega",), (1.0, math.inf)),
+    (("omega",), (5.0, 1.0)),                 # reversed
+])
+def test_monte_carlo_rejects_a_bad_omega_range_before_any_member_runs(vary, omega_rpm_range,
+                                                                     monkeypatch):
+    def never(s):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(harness, "run_scenario_metrics", never)
+    with pytest.raises(ValueError, match="omega_rpm_range"):
+        monte_carlo(default_scenario("spin"), 2, seed=1, vary=vary,
+                    omega_rpm_range=omega_rpm_range)
+
+
+def test_monte_carlo_accepts_an_omega_range_of_one_rate(monkeypatch):
+    started = []
+    inner = harness.run_scenario_metrics
+
+    def record(s):
+        started.append(s.omega0_radps)
+        return inner(s)
+
+    monkeypatch.setattr(harness, "run_scenario_metrics", record)
+    monte_carlo(default_scenario("safe", duration_s=1.0), 2, seed=1, vary=("omega",),
+                omega_rpm_range=(0.5, 0.5))
+    w = 0.5 * RPM_TO_RADPS
+    assert started == [Vec3(w, w, w)] * 2
+
+
 def test_monte_carlo_rejects_fewer_than_one_worker():
     base = default_scenario("safe", duration_s=1.0)
     for workers in (0, -1):
@@ -511,6 +545,8 @@ def test_monte_carlo_reports_any_member_error_with_its_type(monkeypatch):
     assert (failed.scenario_name, failed.mode, failed.final_mode) == (
         "spin-default[1]", "spin", "spin")
     assert (failed.steps, failed.converged) == (0, False)
+    assert clean.results[1].regolith_position_cm is not None
+    assert failed.regolith_position_cm == clean.results[1].regolith_position_cm
     assert [mc.results[i].to_dict() for i in (0, 2)] == [clean.results[i].to_dict()
                                                           for i in (0, 2)]
     assert (mc.summary["runs"], mc.summary["diverged"]) == (3, 1)

@@ -28,7 +28,6 @@ from .config import ConfigError, read_config, scenario_from_dict
 from .control import Fidelity
 from .harness import STANDALONE_MODES, DivergenceError, Scenario, monte_carlo, run_scenario
 from .massmodel import bundled_catalog, corner_envelope, load_catalog, mass_properties
-from .quatmath import Vec3
 from .svgplot import write_plot
 
 __all__ = ["main", "build_parser"]
@@ -87,10 +86,11 @@ def _add_scenario_flags(p: argparse.ArgumentParser, with_mode: bool) -> None:
     p.add_argument("--q0-euler-deg", metavar="R,P,Y",
                    help="initial attitude as 3-2-1 Euler angles (deg)")
     p.add_argument("--catalog", metavar="PATH", help="mass catalog JSON")
-    p.add_argument("--regolith", choices=["stowed", "sampled"],
-                   help="regolith placement policy")
-    p.add_argument("--regolith-cm", metavar="X,Y,Z",
-                   help="fix the regolith at this chamber position (cm)")
+    place = p.add_mutually_exclusive_group()
+    place.add_argument("--regolith", choices=["stowed", "sampled"],
+                       help="regolith placement policy")
+    place.add_argument("--regolith-cm", metavar="X,Y,Z",
+                       help="fix the regolith at this chamber position (cm)")
     p.add_argument("--spin-rpm", type=float, metavar="RPM", help="spin-mode target")
     for name in ("drag", "srp", "gravity-gradient"):
         p.add_argument(f"--{name}", action=argparse.BooleanOptionalAction,
@@ -154,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # A flag that sets one of these config keys replaces the other way of giving
 # the same value.
-_REPLACES = {"duration_s": "duration_orbits", "omega0_rpm": "omega0_radps",
-             "q0_euler_deg": "q0"}
+_REPLACES = {"duration_s": "duration_orbits", "duration_orbits": "duration_s",
+             "omega0_rpm": "omega0_radps", "q0_euler_deg": "q0",
+             "regolith_policy": "regolith_position_cm", "regolith_position_cm": "regolith_policy"}
 
 
 def _scenario(args) -> Scenario:
@@ -172,7 +173,7 @@ def _scenario(args) -> Scenario:
         ("mode", "fidelity"): args.fidelity,
         ("mode", "spin_target_rpm"): args.spin_rpm,
         ("mass", "catalog"): args.catalog and os.path.abspath(args.catalog),
-        ("mass", "regolith_policy"): "fixed" if args.regolith_cm else args.regolith,
+        ("mass", "regolith_policy"): args.regolith,
         ("mass", "regolith_position_cm"): _flag_numbers(args, "regolith_cm", 3),
         ("sim", "dt_s"): args.dt,
         ("sim", "duration_s"): args.duration_s,
@@ -224,7 +225,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_inertia(args) -> int:
     catalog = load_catalog(args.catalog) if args.catalog else bundled_catalog()
     if args.regolith_cm:
-        catalog = catalog.with_regolith_at(Vec3(*_flag_numbers(args, "regolith_cm", 3)))
+        catalog = catalog.with_regolith_at(_flag_numbers(args, "regolith_cm", 3))
     props = mass_properties(catalog)
     report: dict = {
         "catalog": catalog.name,

@@ -220,6 +220,10 @@ def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
 
     updates.update(_keyed_section(data, "mass", special=("catalog",)))
     mass = data.get("mass", {})
+    if "regolith_position_cm" in mass:  # a position alone means policy "fixed"
+        if updates.setdefault("regolith_policy", "fixed") != "fixed":
+            raise ConfigError("mass: regolith_position_cm needs regolith_policy 'fixed', "
+                              f"got {updates['regolith_policy']!r}")
     if "catalog" in mass:
         path = Path(_require(mass["catalog"], str, "mass.catalog"))
         if config_dir is not None and not path.is_absolute():
@@ -238,10 +242,10 @@ def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
 
     updates.update(_keyed_section(data, "sim"))
     sim = data.get("sim", {})
-    if "duration_s" in sim and "duration_orbits" not in sim:
-        # A plain seconds duration should not be shadowed by the preset's
-        # orbit-based default.
-        updates["duration_orbits"] = None
+    if "duration_s" in sim:
+        if "duration_orbits" in sim:
+            raise ConfigError("sim: give duration_orbits or duration_s, not both")
+        updates["duration_orbits"] = None  # else the preset's orbits would win
 
     if mode != "conops":
         updates.setdefault("schedule", ())

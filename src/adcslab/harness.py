@@ -1,26 +1,26 @@
 """Scenario assembly, the closed-loop simulation, metrics, and Monte Carlo.
 
 A :class:`Scenario` is a frozen, picklable description of one run: mass model
-and regolith placement policy, orbit, geometry, gains and limits, operating
-mode, initial state, and integration settings.  :func:`run_scenario` steps the
-closed loop
+and regolith placement policy (applied by :meth:`Scenario.placed_catalog`),
+orbit, geometry, gains and limits, operating mode, initial state, and
+integration settings.  :func:`run_scenario` steps the closed loop
 
     sample environment -> disturbance torques -> mode controller ->
     actuator models -> rigidbody.propagate
 
 and returns decimated telemetry plus a :class:`RunResult` of metrics.
 :func:`run_scenario_metrics`, and so every Monte Carlo member, runs with
-``telemetry=False``: each row still feeds the metrics as it is made, but no
-row is kept, so a run's memory does not grow with its length.  The
-loop computes no dynamics itself: it hands the held external torque
-(magnetics plus disturbances) and the wheel's torque to
-:func:`~adcslab.rigidbody.propagate`, whose kick-drift-kick splitting
-carries the attitude, the body rate and the wheel's momentum together.  The
-hold times and post-settle maxima are taken from the telemetry rows as they
-are recorded, so they see the run at the telemetry cadence.  Standalone modes
+``telemetry=False``: each sample still feeds the metrics, but no row is built,
+so a run's memory does not grow with its length.  The loop computes no
+dynamics itself: it hands the held external torque (magnetics plus
+disturbances) and the wheel's torque to :func:`~adcslab.rigidbody.propagate`,
+whose kick-drift-kick splitting carries the attitude, the body rate and the
+wheel's momentum together.  The hold times and post-settle maxima see the run
+at the telemetry cadence.  Standalone modes
 (``detumble``/``nominal``/``spin``/``despin``/``safe``) hold their controller
 for the whole run; ``conops`` starts in de-tumble and runs the mode state
-machine with scheduled commands and automatic exits.
+machine with automatic exits and the scheduled commands, each issued at the
+step its time rounds to.
 
 Determinism: nothing in the loop draws random numbers, regolith sampling is
 seeded, and Monte Carlo derives per-run seeds from (master seed, run index),
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from operator import itemgetter
 from statistics import fmean
 from typing import Iterable, Sequence, TextIO
 
@@ -213,19 +212,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in STANDALONE_MODES + ("conops",):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.regolith_policy not in ("stowed", "fixed", "sampled"):
-            raise ValueError(f"unknown regolith policy {self.regolith_policy!r}")
         if self.regolith_policy == "fixed" and self.regolith_fixed_cm is None:
             raise ValueError("regolith policy 'fixed' needs regolith_fixed_cm")
         if self.regolith_policy == "sampled" and self.seed is None:
             raise ValueError("regolith policy 'sampled' needs a seed")
-        if self.regolith_policy != "stowed" and self.catalog.regolith is None:
-            raise ValueError(f"regolith policy {self.regolith_policy!r} needs a catalog with "
-                             f"a movable regolith component; {self.catalog.name} has none")
-        if (self.regolith_policy == "fixed"
-                and not self.catalog.chamber.contains(self.regolith_fixed_cm)):
-            raise ValueError(f"fixed regolith position {tuple(self.regolith_fixed_cm)} cm is "
-                             "outside the payload chamber")
+        self.placed_catalog()  # raises where the regolith cannot go
         if not (self.dt_s > 0.0 and math.isfinite(self.dt_s)):
             raise ValueError(f"dt must be positive and finite, got {self.dt_s}")
         if self.duration_orbits is None:
@@ -247,8 +238,7 @@ class Scenario:
             raise ValueError("min_principal_inertia_kgm2 must be > 0 and finite")
         if self.schedule and self.mode != "conops":
             raise ValueError("a command schedule only makes sense in conops mode")
-        for entry in self.schedule:
-            t, cmd = entry
+        for t, cmd in self.schedule:
             if not (t >= 0.0 and math.isfinite(t)):
                 raise ValueError(f"schedule time must be >= 0, got {t}")
             if cmd not in _SCHEDULE_COMMANDS:
@@ -266,6 +256,18 @@ class Scenario:
                 f"wheel_momentum0_nms must be within the wheel's momentum limit "
                 f"{self.limits.max_wheel_momentum_nms}, got {self.wheel_momentum0_nms}")
         self.resolved_duration_s()
+
+    def placed_catalog(self) -> MassCatalog:
+        """The catalog with the regolith where the policy puts it; building,
+        assembling and reporting a failed run all place it here."""
+        if self.regolith_policy == "stowed":
+            return self.catalog
+        if self.regolith_policy == "fixed":
+            return self.catalog.with_regolith_at(self.regolith_fixed_cm)
+        if self.regolith_policy == "sampled":
+            return self.catalog.with_regolith_at(
+                sample_regolith(self.catalog.chamber, np.random.default_rng(self.seed)))
+        raise ValueError(f"unknown regolith policy {self.regolith_policy!r}")
 
     def resolved_duration_s(self) -> float:
         """Run length in seconds (orbit-based durations use the scenario orbit)."""
@@ -310,27 +312,22 @@ class AssembledScenario:
 
 
 def assemble(s: Scenario) -> AssembledScenario:
-    """Resolve regolith placement and mass properties for propagation.
+    """Mass properties for propagation, with the regolith placed by
+    :meth:`Scenario.placed_catalog`.
 
     The exact point-mass inertia of the stowed flight catalog is singular
     about z (every component sits on the geometric axis), so the scenario's
     minimum principal inertia is enforced as an eigenvalue floor before the
     tensor is handed to the dynamics.
     """
-    catalog = s.catalog
-    if s.regolith_policy == "fixed":
-        catalog = catalog.with_regolith_at(Vec3(*s.regolith_fixed_cm))
-    elif s.regolith_policy == "sampled":
-        catalog = catalog.with_regolith_at(
-            sample_regolith(catalog.chamber, np.random.default_rng(s.seed)))
+    catalog = s.placed_catalog()
     cg_cm = compute_cg(catalog)
     return AssembledScenario(
         catalog=catalog,
         inertia=InertiaTensor(apply_inertia_floor(inertia_tensor(catalog),
                                                   s.min_principal_inertia_kgm2)),
         cg_m=Vec3(cg_cm[0] * CM_TO_M, cg_cm[1] * CM_TO_M, cg_cm[2] * CM_TO_M),
-        regolith_position_cm=None if catalog.regolith is None
-        else catalog.regolith.position_cm,
+        regolith_position_cm=catalog.regolith_position_cm,
     )
 
 
@@ -415,7 +412,7 @@ def _listed(value):
 
 
 class _Metrics:
-    """Hold times and post-settle maxima, updated one telemetry row at a time.
+    """Hold times and post-settle maxima, updated one recorded sample at a time.
 
     Each hold time is when its condition started to hold for the rest of the
     record: 0.0 while the condition has never failed, None after a failing
@@ -426,7 +423,7 @@ class _Metrics:
 
     The post-settle maxima (|q_e|, |omega|, body-z half-cone angle) restart
     whenever the mode's primary condition fails, so they cover exactly the
-    rows at or after its hold time: recorded times only increase.  Spin and
+    samples at or after its hold time: recorded times only increase.  Spin and
     de-spin keep only |omega|: |q_e| and the cone angle measure the attitude
     against the orbit frame, which a spin about x sweeps through.
     """
@@ -445,15 +442,14 @@ class _Metrics:
         self.times: list[float | None] = [0.0, 0.0, 0.0, 0.0]
         self.max_qe = self.max_speed = self.max_cone = 0.0
 
-    def add(self, row: tuple) -> None:
-        t = row[0]
-        speed = vnorm(row[5:8])
+    def add(self, t: float, q: Quat, omega: Vec3, euler: tuple[float, float, float]) -> None:
+        speed = vnorm(omega)
         times = self.times
         if speed >= self.detumble_radps:
             times[0] = None
         elif times[0] is None:
             times[0] = t
-        if abs(row[5] - self.spin_radps) > self.spin_tol:
+        if abs(omega[0] - self.spin_radps) > self.spin_tol:
             times[1] = None
         elif times[1] is None:
             times[1] = t
@@ -461,7 +457,7 @@ class _Metrics:
             times[2] = None
         elif times[2] is None:
             times[2] = t
-        if max(abs(row[8]), abs(row[9]), abs(row[10])) > self.align_deg:
+        if max(abs(euler[0]), abs(euler[1]), abs(euler[2])) > self.align_deg:
             times[3] = None
         elif times[3] is None:
             times[3] = t
@@ -473,11 +469,11 @@ class _Metrics:
             self.max_speed = speed
         if not self.pointing:
             return
-        qe = vnorm(row[2:5])
+        qe = vnorm(q[1:])
         if qe > self.max_qe:
             self.max_qe = qe
         # Angle between body z and orbit z: acos(R33), R33 = 1 - 2(q1^2 + q2^2).
-        q1, q2 = row[2], row[3]
+        q1, q2 = q[1], q[2]
         r33 = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
         cone = math.degrees(math.acos(min(1.0, max(-1.0, r33))))
         if cone > self.max_cone:
@@ -502,10 +498,11 @@ class _Metrics:
 def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, RunResult]:
     """Propagate one scenario and extract its metrics.
 
-    With ``telemetry=False`` every row is still made and fed to the metrics
-    at the telemetry cadence, but none is kept: the returned
+    Each sample at the telemetry cadence feeds the metrics; with
+    ``telemetry=False`` no row is built from it: the returned
     :class:`Telemetry` is empty and the :class:`RunResult` is the same.
-    :func:`run_scenario_metrics` and Monte Carlo members run this way.
+    :func:`run_scenario_metrics` and Monte Carlo members run this way.  A
+    conops run converges only if every scheduled command falls inside the run.
 
     Raises:
         DivergenceError: the state went non-finite (step and time attached).
@@ -529,11 +526,8 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
 
     conops = s.mode == "conops"
     mode = Mode.DETUMBLE if conops else Mode(s.mode)
-    schedule = sorted(
-        ((max(0, int(round(t / dt))), Mode(cmd)) for t, cmd in s.schedule),
-        key=itemgetter(0),
-    )
-    sched_i = 0
+    # Step -> command; of two commands for one step, the later one given wins.
+    schedule = {max(0, int(round(t / dt))): Mode(cmd) for t, cmd in s.schedule}
 
     state = AttitudeState(normalize_canonical(s.q0), Vec3(*s.omega0_radps),
                           s.wheel_momentum0_nms, 0.0)
@@ -547,17 +541,11 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     metrics = _Metrics(s)
 
     def record(st: AttitudeState, c: TorqueCommand, m: Mode) -> None:
-        roll, pitch, yaw = quat_to_euler(st.q)
-        row = (
-            st.t, st.q[0], st.q[1], st.q[2], st.q[3],
-            st.omega[0], st.omega[1], st.omega[2],
-            roll, pitch, yaw,
-            c.tau_m[0], c.tau_m[1], c.tau_m[2],
-            c.tau_rw, st.wheel_momentum, m.value,
-        )
-        if telemetry:
-            rows.append(row)
-        metrics.add(row)
+        euler = quat_to_euler(st.q)
+        metrics.add(st.t, st.q, st.omega, euler)
+        if telemetry:  # the one place that knows the TELEMETRY_COLUMNS order
+            rows.append((st.t, *st.q, *st.omega, *euler,
+                         *c.tau_m, c.tau_rw, st.wheel_momentum, m.value))
 
     for k in range(n_steps):
         if k % env_every == 0:
@@ -565,11 +553,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
             tau_d = total_disturbance(s.geometry, orbit_env.to_body(state.q), J, cg_m, include)
 
         if conops:
-            command = None
-            while sched_i < len(schedule) and schedule[sched_i][0] <= k:
-                command = schedule[sched_i][1]
-                sched_i += 1
-            new_mode = mode_transition(mode, state.omega, thresholds, command)
+            new_mode = mode_transition(mode, state.omega, thresholds, schedule.get(k))
             if new_mode is not mode:
                 mode = new_mode
                 transitions.append((state.t, mode.value))
@@ -635,7 +619,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     hold_times = metrics.hold_times()
     detumble_s = hold_times["detumble_time_s"]
     if conops:  # back in nominal with tame rates, schedule fully issued
-        converged = (mode is Mode.NOMINAL and sched_i == len(schedule)
+        converged = (mode is Mode.NOMINAL and all(step < n_steps for step in schedule)
                      and vnorm(state.omega) < thresholds.detumble_exit_radps)
     else:
         converged = metrics.primary_time() is not None
@@ -704,13 +688,13 @@ def _mc_scenario(base: Scenario, master_seed: int, index: int,
 
 
 def _failed_result(s: Scenario, final_mode: str, steps: int, error: str) -> RunResult:
-    """A failed run: the mode it was in, the step it reached and its fixed
-    regolith placement; no metrics."""
+    """A failed run: the mode it was in, the step it reached and the regolith
+    placement its clean run reports, under any policy; no metrics."""
     return RunResult(
         scenario_name=s.name, mode=s.mode, final_mode=final_mode,
         orbit_period_s=orbit_period(s.orbit), duration_s=s.resolved_duration_s(),
         dt_s=s.dt_s, steps=steps, error=error,
-        regolith_position_cm=s.regolith_fixed_cm if s.regolith_policy == "fixed" else None,
+        regolith_position_cm=s.placed_catalog().regolith_position_cm,
     )
 
 

@@ -142,9 +142,19 @@ class MassCatalog:
     def total_mass_kg(self) -> float:
         return sum(c.mass_kg for c in self.all_components)
 
+    @property
+    def regolith_position_cm(self) -> Vec3 | None:
+        return None if self.regolith is None else self.regolith.position_cm
+
     def with_regolith_at(self, position_cm: Vec3) -> "MassCatalog":
+        """This catalog with the regolith moved to ``position_cm``: the one
+        placement rule.  The catalog must have a regolith component, and the
+        position must lie inside its chamber, bounds included."""
         if self.regolith is None:
             raise CatalogError(f"{self.name} has no movable regolith component")
+        if not self.chamber.contains(position_cm):
+            raise CatalogError(f"regolith position {tuple(position_cm)} cm is outside the "
+                               "payload chamber")
         return replace(self, regolith=replace(self.regolith, position_cm=Vec3(*position_cm)))
 
 
@@ -229,9 +239,8 @@ class CornerEnvelope:
 
 
 def corner_envelope(catalog: MassCatalog) -> CornerEnvelope:
-    results = []
-    for corner in catalog.chamber.corners():
-        results.append((corner, mass_properties(catalog.with_regolith_at(corner))))
+    results = [(corner, mass_properties(catalog.with_regolith_at(corner)))
+               for corner in catalog.chamber.corners()]
     cgs = np.array([p.cg_cm for _, p in results])
     js = np.array([p.inertia_kgm2 for _, p in results])
     return CornerEnvelope(

@@ -99,9 +99,10 @@ def render_plot(telemetry: Telemetry, title: str | None = None) -> str:
     rows = telemetry.rows[::stride]
     if telemetry.rows and rows[-1] is not telemetry.rows[-1]:
         rows.append(telemetry.rows[-1])
-    x = [r[0] for r in rows]
-    rates = [[r[i] for r in rows] for i in (5, 6, 7)]
-    eulers = [[r[i] for r in rows] for i in (8, 9, 10)]
+    picked = Telemetry(rows)  # read by column name, so no column index lives here
+    x = picked.column("t_s")
+    rates = [picked.column(c) for c in ("wx_radps", "wy_radps", "wz_radps")]
+    eulers = [picked.column(c) for c in ("roll_deg", "pitch_deg", "yaw_deg")]
 
     total_h = _MARGIN_T + _PANEL_H + _PANEL_GAP + _PANEL_H + _MARGIN_B
     parts = [

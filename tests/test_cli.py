@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import adcslab
 from adcslab.cli import build_parser, main
 from adcslab.harness import TELEMETRY_COLUMNS
-from adcslab.massmodel import bundled_catalog
+from adcslab.massmodel import bundled_catalog, sample_regolith
 
 SPIN = ["simulate", "--mode", "spin", "--quiet"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -155,6 +160,40 @@ def test_seconds_flag_replaces_the_config_orbits(tmp_path):
     assert blob["duration_s"] == 3.0
 
 
+def test_orbits_flag_replaces_the_config_seconds(tmp_path):
+    cfg = {"mode": {"mode": "safe"}, "sim": {"duration_s": 100.0}}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    rc, blob = _summary(tmp_path, ["simulate", "--config", "c.json", "--duration-orbits",
+                                   "0.001", "--quiet", "--out", "run.csv"])
+    assert rc == 0
+    assert blob["duration_s"] == 0.001 * blob["orbit_period_s"]
+
+
+def test_the_two_placement_flags_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(SPIN + ["--regolith", "sampled", "--seed", "3", "--regolith-cm", "1,1,1",
+                     "--out", "run.csv"])
+    assert exited.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass, flags, expected", [
+    ({"regolith_policy": "sampled"}, ["--regolith-cm", "1,1,1"], [1.0, 1.0, 1.0]),
+    ({"regolith_policy": "fixed", "regolith_position_cm": [1, 1, 1]},
+     ["--regolith", "stowed"], [0.0, 0.0, 14.0]),
+    ({"regolith_position_cm": [1, 1, 1]}, ["--regolith", "sampled"], None),
+])
+def test_a_placement_flag_replaces_the_config_placement(tmp_path, mass, flags, expected):
+    (tmp_path / "c.json").write_text(json.dumps(
+        {"mode": {"mode": "safe"}, "mass": mass, "sim": {"duration_s": 1.0, "seed": 3}}))
+    rc, blob = _summary(tmp_path, ["simulate", "--config", "c.json", *flags, "--quiet",
+                                   "--out", "run.csv"])
+    assert rc == 0
+    if expected is None:  # sampled: the seeded draw, not the config's position
+        expected = list(sample_regolith(bundled_catalog().chamber, np.random.default_rng(3)))
+    assert blob["regolith_position_cm"] == expected
+
+
 def test_catalog_flag_resolves_against_the_working_directory(tmp_path):
     """A config's ``mass.catalog`` resolves against the config's folder, a
     ``--catalog`` flag against the current directory."""
@@ -286,6 +325,11 @@ def test_inertia_with_moved_regolith(capsys):
     assert blob["degenerate"] is True    # every component sits on the z axis regardless
 
 
+def test_inertia_rejects_regolith_outside_the_chamber(capsys):
+    assert main(["inertia", "--regolith-cm", "100,0,-50"]) == 1
+    assert "outside the payload chamber" in capsys.readouterr().err
+
+
 def test_inertia_corner_sweep(capsys):
     assert main(["inertia", "--json", "--sweep-corners"]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -368,3 +412,31 @@ def test_parser_defaults():
     assert args.out == "telemetry.csv" and args.mode is None
     args = build_parser().parse_args(["montecarlo"])
     assert args.vary == "regolith" and args.runs == 10
+
+
+# ------------------------------------------------------------- hash seed
+
+@pytest.mark.parametrize("argv", [
+    ["conops", "--duration-s", "600"],
+    ["montecarlo", "--mode", "spin", "--duration-s", "5", "--runs", "3", "--seed", "4",
+     "--vary", "regolith,omega", "--omega-range=-1,1", "--workers", "2"],
+], ids=["conops", "montecarlo"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, argv):
+    """String hashes are salted per interpreter, and in-process tests and
+    forked workers share one salt, so each run gets a fresh interpreter."""
+    src = str(Path(adcslab.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        run_dir = tmp_path / f"hash-seed-{hash_seed}"
+        run_dir.mkdir()
+        env = {k: v for k, v in os.environ.items() if k != "ADCSLAB_SEED"}
+        env.update(PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, env.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from adcslab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv,
+             "--out", "out.csv", "--summary", "out.json", "--quiet"],
+            cwd=run_dir, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 2), proc.stderr
+        outputs.append(((run_dir / "out.csv").read_bytes(), (run_dir / "out.json").read_bytes()))
+    assert outputs[0] == outputs[1]

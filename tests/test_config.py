@@ -78,6 +78,11 @@ def test_plain_seconds_duration_clears_the_preset_orbits():
     assert s.resolved_duration_s() == 100.0
 
 
+def test_a_config_gives_one_duration():
+    with pytest.raises(ConfigError, match="duration_orbits or duration_s"):
+        scenario_from_dict({"sim": {"duration_s": 100.0, "duration_orbits": 2.0}})
+
+
 def test_schedule_parses_and_is_conops_only():
     s = scenario_from_dict({"mode": {"mode": "conops",
                                      "schedule": [[10.0, "spin"], [20.0, "despin"]]}})
@@ -132,6 +137,25 @@ def test_invalid_combinations_surface_as_config_errors():
         scenario_from_dict({"mass": {"regolith_policy": "fixed"}})
     with pytest.raises(ConfigError, match="unknown policy"):
         scenario_from_dict({"mass": {"regolith_policy": "floating"}})
+
+
+def test_a_regolith_position_alone_fixes_the_regolith_there():
+    s = scenario_from_dict({"mass": {"regolith_position_cm": [1, 1, 1]}})
+    assert (s.regolith_policy, s.regolith_fixed_cm) == ("fixed", Vec3(1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("policy", ["stowed", "sampled"])
+def test_a_regolith_position_needs_the_fixed_policy(policy):
+    with pytest.raises(ConfigError, match="regolith_position_cm needs regolith_policy 'fixed'"):
+        scenario_from_dict({"mass": {"regolith_policy": policy,
+                                     "regolith_position_cm": [1, 1, 1]}, "sim": {"seed": 3}})
+
+
+def test_the_position_rule_reads_only_the_keys_the_config_gives():
+    """The spin preset's own fixed position does not stop a config policy."""
+    s = scenario_from_dict({"mode": {"mode": "spin"}, "mass": {"regolith_policy": "sampled"},
+                            "sim": {"seed": 3}})
+    assert (s.regolith_policy, s.regolith_fixed_cm) == ("sampled", Vec3(0.0, 0.0, 0.0))
 
 
 def test_catalog_path_resolves_relative_to_the_config(tmp_path):

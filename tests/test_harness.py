@@ -37,9 +37,9 @@ from adcslab.quatmath import RPM_TO_RADPS, Quat, Vec3, quat_from_euler, vnorm
 PERIOD = orbit_period(OrbitConfig())
 
 
-def _row(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0)):
-    return (t, *q, *w, *euler,
-            0.0, 0.0, 0.0, 0.0, 0.0, "detumble")
+def _sample(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0)):
+    """One recorded sample as the named values ``_Metrics.add`` takes."""
+    return dict(t=t, q=Quat(*q), omega=Vec3(*w), euler=euler)
 
 
 # ------------------------------------------------------------- scenario checks
@@ -145,7 +145,7 @@ def test_placing_regolith_needs_a_regolith_component():
     bare = MassCatalog((MassComponent("bus", 2.0, Vec3(0.0, 0.0, 0.0)),), name="bare")
     for policy in dict(regolith_policy="fixed", regolith_fixed_cm=Vec3(0.0, 0.0, 5.0)), \
             dict(regolith_policy="sampled", seed=1):
-        with pytest.raises(ValueError, match="bare has none"):
+        with pytest.raises(ValueError, match="bare has no movable regolith component"):
             Scenario(catalog=bare, **policy)
     assert assemble(Scenario(catalog=bare)).regolith_position_cm is None
 
@@ -282,6 +282,19 @@ def test_the_short_conops_run_walks_the_full_mode_sequence():
     assert labels == ["detumble", "nominal", "spin", "despin", "nominal"]
 
 
+def test_the_schedule_takes_the_last_command_for_a_step_and_must_fall_inside_the_run():
+    base = METRICS_ONLY["conops"]
+    ref = run_scenario_metrics(base)
+    assert ref.converged
+    shuffled = replace(base, schedule=((120.0, "despin"), (60.0, "safe"), (60.0, "spin")))
+    assert run_scenario_metrics(shuffled) == ref
+    # 239.9 s is the last step of the 240 s run; 240.0 s would be one past it.
+    assert run_scenario_metrics(
+        replace(base, schedule=base.schedule + ((239.9, "nominal"),))).converged
+    late = run_scenario_metrics(replace(base, schedule=base.schedule + ((240.0, "nominal"),)))
+    assert not late.converged and late.transitions == ref.transitions
+
+
 def test_a_metrics_only_run_keeps_no_rows_in_memory():
     """6,001 rows of a full run take about 3.4 MB; a metrics-only run keeps none."""
     s = default_scenario("detumble", duration_orbits=None, duration_s=600.0,
@@ -312,10 +325,10 @@ def test_run_result_keys_follow_the_field_declarations():
 
 # ------------------------------------------------------------- metrics
 
-def _fed(rows, **scenario):
+def _fed(samples, **scenario):
     metrics = _Metrics(Scenario(**scenario))
-    for row in rows:
-        metrics.add(row)
+    for sample in samples:
+        metrics.add(**sample)
     return metrics
 
 
@@ -323,60 +336,60 @@ W_SPIN = RPM_TO_RADPS  # the default 1 RPM spin target
 
 
 def test_detumble_time_finds_the_last_excursion():
-    m = _fed([_row(0.0, w=(0.02, 0.0, 0.0)),
-              _row(1.0, w=(0.015, 0.0, 0.0)),
-              _row(2.0, w=(0.005, 0.0, 0.0)),
-              _row(3.0, w=(0.004, 0.0, 0.0))])
+    m = _fed([_sample(0.0, w=(0.02, 0.0, 0.0)),
+              _sample(1.0, w=(0.015, 0.0, 0.0)),
+              _sample(2.0, w=(0.005, 0.0, 0.0)),
+              _sample(3.0, w=(0.004, 0.0, 0.0))])
     assert m.hold_times()["detumble_time_s"] == 2.0
     assert m.primary_time() == 2.0
 
 
 def test_detumble_time_none_until_it_holds():
-    m = _fed([_row(0.0, w=(0.02, 0.0, 0.0)),
-              _row(1.0, w=(0.005, 0.0, 0.0)),
-              _row(2.0, w=(0.02, 0.0, 0.0))])
+    m = _fed([_sample(0.0, w=(0.02, 0.0, 0.0)),
+              _sample(1.0, w=(0.005, 0.0, 0.0)),
+              _sample(2.0, w=(0.02, 0.0, 0.0))])
     assert m.hold_times()["detumble_time_s"] is None
     assert m.post_settle() == (None, None, None)
 
 
 def test_detumble_time_zero_when_never_outside():
-    m = _fed([_row(0.0, w=(0.001, 0.0, 0.0)), _row(1.0)])
+    m = _fed([_sample(0.0, w=(0.001, 0.0, 0.0)), _sample(1.0)])
     assert m.hold_times()["detumble_time_s"] == 0.0
 
 
 def test_settle_time_tracks_a_spin_target():
-    m = _fed([_row(0.0, w=(0.0, 0.0, 0.0)),
-              _row(1.0, w=(0.9 * W_SPIN, 0.0, 0.0)),
-              _row(2.0, w=(0.999 * W_SPIN, 0.0, 0.0)),
-              _row(3.0, w=(1.001 * W_SPIN, 0.0, 0.0))], mode="spin", settle_band=0.01)
+    m = _fed([_sample(0.0, w=(0.0, 0.0, 0.0)),
+              _sample(1.0, w=(0.9 * W_SPIN, 0.0, 0.0)),
+              _sample(2.0, w=(0.999 * W_SPIN, 0.0, 0.0)),
+              _sample(3.0, w=(1.001 * W_SPIN, 0.0, 0.0))], mode="spin", settle_band=0.01)
     assert m.hold_times()["spin_settle_time_s"] == 2.0
 
 
 def test_settle_time_single_axis_ignores_transverse_motion():
-    m = _fed([_row(0.0, w=(0.0, 0.05, 0.0)),
-              _row(1.0, w=(0.999 * W_SPIN, 0.05, 0.0)),
-              _row(2.0, w=(W_SPIN, 0.05, 0.0))], mode="spin", settle_band=0.01)
+    m = _fed([_sample(0.0, w=(0.0, 0.05, 0.0)),
+              _sample(1.0, w=(0.999 * W_SPIN, 0.05, 0.0)),
+              _sample(2.0, w=(W_SPIN, 0.05, 0.0))], mode="spin", settle_band=0.01)
     assert m.hold_times()["spin_settle_time_s"] == 1.0
 
 
 def test_align_time_watches_all_three_angles():
-    m = _fed([_row(0.0, euler=(20.0, 0.0, 0.0)),
-              _row(1.0, euler=(2.0, -6.0, 0.0)),
-              _row(2.0, euler=(2.0, -2.0, 1.0)),
-              _row(3.0, euler=(0.5, 0.5, 5.5)),
-              _row(4.0, euler=(0.5, 0.5, 0.5))], mode="nominal", align_tolerance_deg=5.0)
+    m = _fed([_sample(0.0, euler=(20.0, 0.0, 0.0)),
+              _sample(1.0, euler=(2.0, -6.0, 0.0)),
+              _sample(2.0, euler=(2.0, -2.0, 1.0)),
+              _sample(3.0, euler=(0.5, 0.5, 5.5)),
+              _sample(4.0, euler=(0.5, 0.5, 0.5))], mode="nominal", align_tolerance_deg=5.0)
     assert m.hold_times()["align_time_s"] == 4.0
 
 
 def test_a_late_excursion_restarts_the_post_settle_maxima():
     q_far = (0.8, 0.6, 0.0, 0.0)                    # |q_e| 0.6, body z 73.7 deg off
     q_near = (math.sqrt(1.0 - 0.01 - 0.0004), 0.1, 0.02, 0.0)
-    rows = [_row(0.0, w=(0.02, 0.0, 0.0)),
-            _row(1.0, w=(0.008, 0.0, 0.0), q=q_far),   # holds, then is undone
-            _row(2.0, w=(0.03, 0.0, 0.0)),
-            _row(3.0, w=(0.004, 0.0, 0.0), q=q_near),
-            _row(4.0, w=(0.003, 0.0, 0.0))]
-    m = _fed(rows)
+    samples = [_sample(0.0, w=(0.02, 0.0, 0.0)),
+               _sample(1.0, w=(0.008, 0.0, 0.0), q=q_far),   # holds, then is undone
+               _sample(2.0, w=(0.03, 0.0, 0.0)),
+               _sample(3.0, w=(0.004, 0.0, 0.0), q=q_near),
+               _sample(4.0, w=(0.003, 0.0, 0.0))]
+    m = _fed(samples)
     assert m.primary_time() == 3.0
     max_qe, max_speed, max_cone = m.post_settle()
     assert max_qe == pytest.approx(math.sqrt(0.01 + 0.0004), rel=1e-12)
@@ -390,13 +403,14 @@ def test_spin_modes_report_no_attitude_maxima(mode, wx):
     """A spin about x sweeps the body through the orbit frame, so spin and
     despin report the post-settle rate but no |q_e| or cone angle."""
     q_swept = (0.0, 1.0, 0.0, 0.0)  # half a turn about x: body z points down
-    m = _fed([_row(0.0, w=(wx, 0.0, 0.0)), _row(1.0, w=(wx, 0.0, 0.0), q=q_swept)], mode=mode)
+    m = _fed([_sample(0.0, w=(wx, 0.0, 0.0)), _sample(1.0, w=(wx, 0.0, 0.0), q=q_swept)],
+             mode=mode)
     assert m.primary_time() == 0.0
     assert m.post_settle() == (None, pytest.approx(wx, rel=1e-12), None)
 
 
 def test_safe_mode_maxima_cover_every_row():
-    m = _fed([_row(0.0, w=(0.5, 0.0, 0.0)), _row(1.0, w=(0.1, 0.0, 0.0))], mode="safe")
+    m = _fed([_sample(0.0, w=(0.5, 0.0, 0.0)), _sample(1.0, w=(0.1, 0.0, 0.0))], mode="safe")
     assert m.primary_time() == 0.0
     assert m.post_settle()[1] == 0.5
 
@@ -521,8 +535,8 @@ def test_monte_carlo_reports_divergence_instead_of_raising():
             "max_cone_angle_post_settle_deg": None,
             "magnetic_saturation_steps": 0, "wheel_saturation_steps": 0,
             "max_wheel_momentum_nms": 0.0, "max_tau_b_alignment": None,
-            "regolith_position_cm": None, "transitions": [],
-            "error": str(diverged.value),
+            "regolith_position_cm": [0.0, 0.0, 14.0],  # stowed, as a clean run reports
+            "transitions": [], "error": str(diverged.value),
         }
 
 
@@ -551,6 +565,26 @@ def test_monte_carlo_reports_any_member_error_with_its_type(monkeypatch):
                                                           for i in (0, 2)]
     assert (mc.summary["runs"], mc.summary["diverged"]) == (3, 1)
     assert mc.summary["converged"] == clean.results[0].converged + clean.results[2].converged
+
+
+@pytest.mark.parametrize("placement, expected", [
+    (dict(), Vec3(0.0, 0.0, 0.0)),                            # the preset's fixed spot
+    (dict(regolith_policy="stowed"), Vec3(0.0, 0.0, 14.0)),
+    (dict(regolith_policy="sampled", seed=3),
+     sample_regolith(bundled_catalog().chamber, np.random.default_rng(3))),
+], ids=["fixed", "stowed", "sampled"])
+def test_a_failed_member_reports_the_placement_of_its_clean_run(monkeypatch, placement,
+                                                                 expected):
+    base = default_scenario("spin", duration_s=2.0, **placement)
+    clean = monte_carlo(base, 1, seed=5, vary=()).results[0]
+
+    def broken(s):
+        raise ZeroFieldError("cannot allocate a dipole in a zero magnetic field")
+
+    monkeypatch.setattr(harness, "run_scenario_metrics", broken)
+    failed = monte_carlo(base, 1, seed=5, vary=()).results[0]
+    assert failed.error.startswith("ZeroFieldError") and clean.error is None
+    assert failed.regolith_position_cm == clean.regolith_position_cm == expected
 
 
 # ------------------------------------------------------------- presets

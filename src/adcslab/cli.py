@@ -136,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--workers", type=int, default=1, metavar="K",
                       help="process-pool size (default: %(default)s)")
     p_mc.add_argument("--vary", default="regolith", metavar="WHAT",
-                      help="comma list of regolith,omega (default: %(default)s)")
+                      help="comma list of regolith,omega (default: %(default)s); "
+                           "regolith draws each run's placement, so it takes no "
+                           "--regolith or --regolith-cm")
     p_mc.add_argument("--omega-range", metavar="LO,HI",
                       help="uniform initial-rate range in RPM (with --vary omega)")
     p_mc.add_argument("--out", metavar="CSV", default="montecarlo.csv",
@@ -290,6 +292,10 @@ def _mc_cell(v) -> str:
 
 def _cmd_montecarlo(args) -> int:
     vary = tuple(v.strip() for v in args.vary.split(",") if v.strip())
+    if "regolith" in vary and (args.regolith or args.regolith_cm):
+        flag = "--regolith" if args.regolith else "--regolith-cm"
+        raise ConfigError(f"{flag} cannot be combined with --vary regolith, which draws "
+                          "each run's placement; drop one of them")
     omega_range = _flag_numbers(args, "omega_range", 2)
     scenario = _scenario(args)
     seed = scenario.seed if scenario.seed is not None else 0

@@ -13,6 +13,23 @@ Frames
 The orbit is circular two-body motion at a fixed altitude (drag perturbs the
 attitude, not the orbit, over the mission spans simulated here).
 
+What is computed once and what per refresh
+------------------------------------------
+A frozen :class:`OrbitConfig` computes its orbit-only constants when it is
+built and keeps them in ``kernel``: the radius, mean motion, initial argument
+of latitude, the in-plane basis from the inclination and RAAN, the speed, the
+atmospheric density at the altitude and the dipole scale ``B0 (Re/r)^3``.  A
+:class:`SpacecraftGeometry` keeps a flat face table and its surface
+coefficients the same way.  Neither slot takes part in equality, ``repr`` or
+hashing.  Each refresh then works on plain floats:
+:func:`propagate_orbit` turns the argument of latitude,
+:func:`orbit_frame_sample` forms the field, sun and eclipse from that one
+orbit state, :meth:`OrbitFrameSample.to_body` builds one rotation matrix for
+its three vectors, and :func:`total_disturbance` sums drag, solar pressure and
+gravity gradient in one pass over the faces.  The reference forms of the
+field and of each torque are in ``tests/oracles.py``, which the tests hold
+these to bit for bit.
+
 Every function here is a pure function of its arguments, and the per-instant
 records (:class:`OrbitState`, :class:`OrbitFrameSample`,
 :class:`EnvironmentSample`) are NamedTuples, like the ``quatmath`` vectors.
@@ -23,11 +40,11 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import NamedTuple
 
-from .quatmath import Quat, Vec3, rotate_orbit_to_body, vcross, vdot, visfinite, vnorm, vunit
+from .quatmath import Quat, Vec3, visfinite, vnorm
 from .rigidbody import InertiaTensor
 
 __all__ = [
@@ -43,11 +60,7 @@ __all__ = [
     "constants",
     "orbit_period",
     "propagate_orbit",
-    "magnetic_field",
     "atmospheric_density",
-    "drag_torque",
-    "srp_torque",
-    "gravity_gradient_torque",
     "total_disturbance",
     "orbit_frame_sample",
 ]
@@ -103,6 +116,7 @@ def _load_defaults() -> tuple[EnvironmentConstants, AtmosphereTable]:
 
 
 _CONSTANTS, _ATMOSPHERE = _load_defaults()
+_RADIATION_PRESSURE = _CONSTANTS.solar_flux_wm2 / _CONSTANTS.speed_of_light_ms
 
 
 def constants() -> EnvironmentConstants:
@@ -128,18 +142,38 @@ class OrbitConfig:
         inclination_deg: orbit inclination.
         raan_deg: right ascension of the ascending node.
         phase_deg: argument of latitude at t = 0.
+        kernel: the orbit-only constants every refresh reads, set once here
+            (see the module docstring); not an argument, and not compared.
     """
 
     altitude_km: float = 400.0
     inclination_deg: float = 51.6
     raan_deg: float = 0.0
     phase_deg: float = 0.0
+    kernel: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (200.0 <= self.altitude_km <= 2000.0):
             raise AltitudeRangeError(
                 f"altitude {self.altitude_km} km outside the supported 200-2000 km band"
             )
+        a = self.radius_m
+        n = math.sqrt(_CONSTANTS.mu_m3s2 / (a * a * a))
+        inc = math.radians(self.inclination_deg)
+        raan = math.radians(self.raan_deg)
+        ci, si = math.cos(inc), math.sin(inc)
+        cO, sO = math.cos(raan), math.sin(raan)
+        speed = n * a
+        # Columns of Rz(raan) @ Rx(inc): in-plane basis vectors p and q in
+        # inertial coords; then the orbit-frame velocity and position, which
+        # are the same at every instant.
+        object.__setattr__(self, "kernel", (
+            a, n, math.radians(self.phase_deg),
+            cO, sO, 0.0, -sO * ci, cO * ci, si,
+            speed, _ATMOSPHERE.density(self.altitude_km),
+            _CONSTANTS.dipole_b0_tesla * (_CONSTANTS.earth_radius_m / a) ** 3,
+            Vec3(speed, 0.0, 0.0), Vec3(0.0, 0.0, -a),
+        ))
 
     @property
     def radius_m(self) -> float:
@@ -157,13 +191,6 @@ class OrbitState(NamedTuple):
     radius_m: float
     speed_mps: float
 
-    def to_orbit_frame(self, v_inertial: Vec3) -> Vec3:
-        return Vec3(
-            vdot(self.basis_x, v_inertial),
-            vdot(self.basis_y, v_inertial),
-            vdot(self.basis_z, v_inertial),
-        )
-
 
 def orbit_period(cfg: OrbitConfig) -> float:
     """Keplerian period 2*pi*sqrt(a^3 / mu) in seconds."""
@@ -173,67 +200,27 @@ def orbit_period(cfg: OrbitConfig) -> float:
 
 def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
     """Two-body circular orbit state at time ``t`` seconds."""
-    a = cfg.radius_m
-    n = math.sqrt(_CONSTANTS.mu_m3s2 / (a * a * a))
-    u = math.radians(cfg.phase_deg) + n * t
+    a, n, u0, px, py, pz, qx, qy, qz, speed, _, _, _, _ = cfg.kernel
+    u = u0 + n * t
     cu, su = math.cos(u), math.sin(u)
-
-    inc = math.radians(cfg.inclination_deg)
-    raan = math.radians(cfg.raan_deg)
-    ci, si = math.cos(inc), math.sin(inc)
-    cO, sO = math.cos(raan), math.sin(raan)
-    # Columns of Rz(raan) @ Rx(inc): in-plane basis vectors in inertial coords.
-    p_hat = Vec3(cO, sO, 0.0)
-    q_hat = Vec3(-sO * ci, cO * ci, si)
-
-    r = Vec3(a * (cu * p_hat[0] + su * q_hat[0]),
-             a * (cu * p_hat[1] + su * q_hat[1]),
-             a * (cu * p_hat[2] + su * q_hat[2]))
-    speed = n * a
-    v = Vec3(speed * (-su * p_hat[0] + cu * q_hat[0]),
-             speed * (-su * p_hat[1] + cu * q_hat[1]),
-             speed * (-su * p_hat[2] + cu * q_hat[2]))
-
-    bx = vunit(v)
-    bz = vunit(Vec3(-r[0], -r[1], -r[2]))
-    by = vcross(bz, bx)
-    return OrbitState(r, v, bx, by, bz, radius_m=a, speed_mps=speed)
+    rx = a * (cu * px + su * qx)
+    ry = a * (cu * py + su * qy)
+    rz = a * (cu * pz + su * qz)
+    vx = speed * (-su * px + cu * qx)
+    vy = speed * (-su * py + cu * qy)
+    vz = speed * (-su * pz + cu * qz)
+    # x along the velocity, z toward the Earth's center, y = z x x.
+    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
+    xx, xy, xz = vx / nv, vy / nv, vz / nv
+    nr = math.sqrt(-rx * -rx + -ry * -ry + -rz * -rz)
+    zx, zy, zz = -rx / nr, -ry / nr, -rz / nr
+    return OrbitState(Vec3(rx, ry, rz), Vec3(vx, vy, vz), Vec3(xx, xy, xz),
+                      Vec3(zy * xz - zz * xy, zz * xx - zx * xz, zx * xy - zy * xx),
+                      Vec3(zx, zy, zz), radius_m=a, speed_mps=speed)
 
 
 # ---------------------------------------------------------------------------
-# Fields
-# ---------------------------------------------------------------------------
-
-def magnetic_field(orbit: OrbitState,
-                   tilt_deg: float = _CONSTANTS.default_dipole_tilt_deg) -> Vec3:
-    """Tilted centered-dipole geomagnetic field at the orbit position, inertial frame.
-
-    B = B0 (Re/r)^3 (3 (m.r_hat) r_hat - m_hat), with the dipole axis tilted
-    ``tilt_deg`` from the inertial z axis (tilt of 0 gives an axis-aligned dipole).
-    """
-    tilt = math.radians(tilt_deg)
-    m_hat = Vec3(math.sin(tilt), 0.0, math.cos(tilt))
-    r_hat = vunit(orbit.position_m)
-    scale = _CONSTANTS.dipole_b0_tesla * (_CONSTANTS.earth_radius_m / orbit.radius_m) ** 3
-    mr = vdot(m_hat, r_hat)
-    return Vec3(
-        scale * (3.0 * mr * r_hat[0] - m_hat[0]),
-        scale * (3.0 * mr * r_hat[1] - m_hat[1]),
-        scale * (3.0 * mr * r_hat[2] - m_hat[2]),
-    )
-
-
-def _in_eclipse(r: Vec3, s_hat: Vec3) -> bool:
-    """Cylindrical-shadow test for position ``r`` and unit sun vector ``s_hat``."""
-    along = vdot(r, s_hat)
-    if along >= 0.0:
-        return False
-    perp = Vec3(r[0] - along * s_hat[0], r[1] - along * s_hat[1], r[2] - along * s_hat[2])
-    return vnorm(perp) < _CONSTANTS.earth_radius_m
-
-
-# ---------------------------------------------------------------------------
-# Geometry and torques
+# Geometry
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -245,12 +232,19 @@ class Face:
 
 @dataclass(frozen=True, slots=True)
 class SpacecraftGeometry:
-    """Flat-plate model: six outward faces plus surface coefficients."""
+    """Flat-plate model: six outward faces plus surface coefficients.
+
+    ``kernel`` is what :func:`total_disturbance` unpacks, flat and built
+    once: ``0.5 Cd``, ``1 - c_sr``, ``2 c_sr``, ``c_dif / 3`` and one row per
+    face of normal, area, ``-(W/c) A`` and centroid.  It is not an argument
+    and is not compared.
+    """
 
     faces: tuple[Face, ...]
     drag_coefficient: float = _CONSTANTS.drag_coefficient
     specular_reflectance: float = _CONSTANTS.specular_reflectance
     diffuse_reflectance: float = _CONSTANTS.diffuse_reflectance
+    kernel: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for f in self.faces:
@@ -266,6 +260,12 @@ class SpacecraftGeometry:
                 raise ValueError(f"{label} must be >= 0 and finite, got {v}")
         if self.specular_reflectance + self.diffuse_reflectance > 1.0:
             raise ValueError("specular + diffuse reflectance cannot exceed 1")
+        object.__setattr__(self, "kernel", (
+            0.5 * self.drag_coefficient, 1.0 - self.specular_reflectance,
+            2.0 * self.specular_reflectance, self.diffuse_reflectance / 3.0,
+            tuple((*f.normal, f.area_m2, -_RADIATION_PRESSURE * f.area_m2, *f.centroid_m)
+                  for f in self.faces),
+        ))
 
     @classmethod
     def box(
@@ -290,6 +290,10 @@ class SpacecraftGeometry:
         return cls(faces, drag_coefficient, specular_reflectance, diffuse_reflectance)
 
 
+# ---------------------------------------------------------------------------
+# Per-refresh records and torques
+# ---------------------------------------------------------------------------
+
 class EnvironmentSample(NamedTuple):
     """The disturbance-torque inputs expressed in the body frame at one instant.
 
@@ -304,81 +308,6 @@ class EnvironmentSample(NamedTuple):
     r_body_m: Vec3          # Earth center -> spacecraft position vector
 
 
-def drag_torque(geometry: SpacecraftGeometry, env: EnvironmentSample, cg_m: Vec3) -> Vec3:
-    """Aerodynamic torque from flat-plate drag on the leading faces.
-
-    The force is ``-0.5 Cd rho v^2 sum_i (v_hat . n_i) A_i v_hat`` over faces
-    with ``v_hat . n_i > 0`` and acts at the projected-area-weighted centroid
-    of those faces; the moment arm is that centroid minus the CG, which is how
-    a shifted payload feeds the disturbance budget.
-    """
-    v = env.v_rel_body_mps
-    speed = vnorm(v)
-    if speed == 0.0 or env.density_kgm3 == 0.0:
-        return Vec3(0.0, 0.0, 0.0)
-    v_hat = Vec3(v[0] / speed, v[1] / speed, v[2] / speed)
-    projected = 0.0
-    cx = cy = cz = 0.0
-    for f in geometry.faces:
-        cosang = vdot(v_hat, f.normal)
-        if cosang > 0.0:
-            w = cosang * f.area_m2
-            projected += w
-            cx += w * f.centroid_m[0]
-            cy += w * f.centroid_m[1]
-            cz += w * f.centroid_m[2]
-    if projected == 0.0:
-        return Vec3(0.0, 0.0, 0.0)
-    magnitude = 0.5 * geometry.drag_coefficient * env.density_kgm3 * speed * speed * projected
-    force = Vec3(-magnitude * v_hat[0], -magnitude * v_hat[1], -magnitude * v_hat[2])
-    arm = Vec3(cx / projected - cg_m[0], cy / projected - cg_m[1], cz / projected - cg_m[2])
-    return vcross(arm, force)
-
-
-def srp_torque(geometry: SpacecraftGeometry, env: EnvironmentSample, cg_m: Vec3) -> Vec3:
-    """Solar radiation pressure torque on the sunlit faces; zero in eclipse.
-
-    Per-face flat-plate force with specular/diffuse reflectances (c_sr, c_dif)::
-
-        F = -(W/c) sum_i A_i (n_i . s) [ (1 - c_sr) s + (2 c_sr (n_i . s) + c_dif / 3) n_i ]
-
-    summed over faces with ``n_i . s > 0``, where ``s`` points toward the sun.
-    """
-    if env.in_eclipse:
-        return Vec3(0.0, 0.0, 0.0)
-    s = env.sun_body
-    pressure = _CONSTANTS.solar_flux_wm2 / _CONSTANTS.speed_of_light_ms
-    c_sr = geometry.specular_reflectance
-    c_dif = geometry.diffuse_reflectance
-    tx = ty = tz = 0.0
-    for f in geometry.faces:
-        cosang = vdot(s, f.normal)
-        if cosang <= 0.0:
-            continue
-        coeff_s = (1.0 - c_sr)
-        coeff_n = 2.0 * c_sr * cosang + c_dif / 3.0
-        scale = -pressure * f.area_m2 * cosang
-        fx = scale * (coeff_s * s[0] + coeff_n * f.normal[0])
-        fy = scale * (coeff_s * s[1] + coeff_n * f.normal[1])
-        fz = scale * (coeff_s * s[2] + coeff_n * f.normal[2])
-        ax = f.centroid_m[0] - cg_m[0]
-        ay = f.centroid_m[1] - cg_m[1]
-        az = f.centroid_m[2] - cg_m[2]
-        tx += ay * fz - az * fy
-        ty += az * fx - ax * fz
-        tz += ax * fy - ay * fx
-    return Vec3(tx, ty, tz)
-
-
-def gravity_gradient_torque(J: InertiaTensor, r_body_m: Vec3) -> Vec3:
-    """Gravity-gradient torque ``3 mu / |r|^5 * (r x J r)`` in the body frame."""
-    jr = J.dot(r_body_m)
-    r = vnorm(r_body_m)
-    scale = 3.0 * _CONSTANTS.mu_m3s2 / r**5
-    c = vcross(r_body_m, jr)
-    return Vec3(scale * c[0], scale * c[1], scale * c[2])
-
-
 def total_disturbance(
     geometry: SpacecraftGeometry,
     env: EnvironmentSample,
@@ -386,17 +315,79 @@ def total_disturbance(
     cg_m: Vec3,
     include: tuple[bool, bool, bool] = (True, True, True),
 ) -> Vec3:
-    """Sum of the (drag, SRP, gravity-gradient) torques, each individually togglable."""
+    """Sum of the (drag, SRP, gravity-gradient) torques, each individually togglable.
+
+    * **Drag**: ``-0.5 Cd rho v^2 sum_i (v_hat . n_i) A_i v_hat`` over the
+      faces with ``v_hat . n_i > 0``, acting at the projected-area-weighted
+      centroid of those faces; the moment arm is that centroid minus the CG,
+      which is how a shifted payload feeds the disturbance budget.  Zero
+      without air or motion.
+    * **Solar radiation pressure**: per face with ``n_i . s > 0``, where
+      ``s`` points toward the sun, with specular/diffuse reflectances
+      (c_sr, c_dif), at the face centroid; zero in eclipse::
+
+          F = -(W/c) sum_i A_i (n_i . s) [ (1 - c_sr) s + (2 c_sr (n_i . s) + c_dif / 3) n_i ]
+
+    * **Gravity gradient**: ``3 mu / |r|^5 * (r x J r)``.
+    """
+    half_cd, coeff_s, two_c_sr, c_dif_3, faces = geometry.kernel
+    (sx, sy, sz), in_eclipse, density, (vx, vy, vz), (rx, ry, rz) = env
+    cgx, cgy, cgz = cg_m
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    drag = include[0] and speed != 0.0 and density != 0.0
+    srp = include[1] and not in_eclipse
+    if drag:
+        vhx, vhy, vhz = vx / speed, vy / speed, vz / speed
+    projected = cx = cy = cz = 0.0
+    stx = sty = stz = 0.0
+    for nx, ny, nz, area, srp_area, fcx, fcy, fcz in faces:
+        if drag:
+            cosang = vhx * nx + vhy * ny + vhz * nz
+            if cosang > 0.0:
+                w = cosang * area
+                projected += w
+                cx += w * fcx
+                cy += w * fcy
+                cz += w * fcz
+        if srp:
+            cosang = sx * nx + sy * ny + sz * nz
+            if not cosang <= 0.0:
+                coeff_n = two_c_sr * cosang + c_dif_3
+                scale = srp_area * cosang
+                fx = scale * (coeff_s * sx + coeff_n * nx)
+                fy = scale * (coeff_s * sy + coeff_n * ny)
+                fz = scale * (coeff_s * sz + coeff_n * nz)
+                ax = fcx - cgx
+                ay = fcy - cgy
+                az = fcz - cgz
+                stx += ay * fz - az * fy
+                sty += az * fx - ax * fz
+                stz += ax * fy - ay * fx
+
     tx = ty = tz = 0.0
     if include[0]:
-        d = drag_torque(geometry, env, cg_m)
-        tx += d[0]; ty += d[1]; tz += d[2]
+        if drag and projected != 0.0:
+            magnitude = half_cd * density * speed * speed * projected
+            fx, fy, fz = -magnitude * vhx, -magnitude * vhy, -magnitude * vhz
+            ax = cx / projected - cgx
+            ay = cy / projected - cgy
+            az = cz / projected - cgz
+            tx += ay * fz - az * fy
+            ty += az * fx - ax * fz
+            tz += ax * fy - ay * fx
+        else:
+            tx += 0.0; ty += 0.0; tz += 0.0
     if include[1]:
-        s = srp_torque(geometry, env, cg_m)
-        tx += s[0]; ty += s[1]; tz += s[2]
+        tx += stx; ty += sty; tz += stz
     if include[2]:
-        g = gravity_gradient_torque(J, env.r_body_m)
-        tx += g[0]; ty += g[1]; tz += g[2]
+        (a, b, c), (d, e, f), (g, h, i) = J.rows
+        jx = a * rx + b * ry + c * rz
+        jy = d * rx + e * ry + f * rz
+        jz = g * rx + h * ry + i * rz
+        scale = 3.0 * _CONSTANTS.mu_m3s2 / math.sqrt(rx * rx + ry * ry + rz * rz) ** 5
+        tx += scale * (ry * jz - rz * jy)
+        ty += scale * (rz * jx - rx * jz)
+        tz += scale * (rx * jy - ry * jx)
     return Vec3(tx, ty, tz)
 
 
@@ -417,12 +408,31 @@ class OrbitFrameSample(NamedTuple):
     r_orbit_m: Vec3
 
     def to_body(self, q: Quat) -> EnvironmentSample:
+        """The disturbance inputs in the body frame: ``R(q).T`` applied to
+        the sun, velocity and position, with the matrix built once."""
+        q0, q1, q2, q3 = q
+        r00 = 1.0 - 2.0 * (q2 * q2 + q3 * q3)
+        r01 = 2.0 * (q1 * q2 + q0 * q3)
+        r02 = 2.0 * (q1 * q3 - q0 * q2)
+        r10 = 2.0 * (q1 * q2 - q0 * q3)
+        r11 = 1.0 - 2.0 * (q1 * q1 + q3 * q3)
+        r12 = 2.0 * (q2 * q3 + q0 * q1)
+        r20 = 2.0 * (q1 * q3 + q0 * q2)
+        r21 = 2.0 * (q2 * q3 - q0 * q1)
+        r22 = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
+        _, (sx, sy, sz), in_eclipse, density, (vx, vy, vz), (rx, ry, rz) = self
         return EnvironmentSample(
-            sun_body=rotate_orbit_to_body(q, self.sun_orbit),
-            in_eclipse=self.in_eclipse,
-            density_kgm3=self.density_kgm3,
-            v_rel_body_mps=rotate_orbit_to_body(q, self.v_orbit_mps),
-            r_body_m=rotate_orbit_to_body(q, self.r_orbit_m),
+            Vec3(r00 * sx + r01 * sy + r02 * sz,
+                 r10 * sx + r11 * sy + r12 * sz,
+                 r20 * sx + r21 * sy + r22 * sz),
+            in_eclipse,
+            density,
+            Vec3(r00 * vx + r01 * vy + r02 * vz,
+                 r10 * vx + r11 * vy + r12 * vz,
+                 r20 * vx + r21 * vy + r22 * vz),
+            Vec3(r00 * rx + r01 * ry + r02 * rz,
+                 r10 * rx + r11 * ry + r12 * rz,
+                 r20 * rx + r21 * ry + r22 * rz),
         )
 
 
@@ -432,16 +442,45 @@ def orbit_frame_sample(
     sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0),
     dipole_tilt_deg: float = _CONSTANTS.default_dipole_tilt_deg,
 ) -> OrbitFrameSample:
-    """Attitude-independent environment snapshot at time ``t``, orbit frame."""
-    orbit = propagate_orbit(cfg, t)
-    b_orbit = orbit.to_orbit_frame(magnetic_field(orbit, dipole_tilt_deg))
-    s_hat = vunit(sun_inertial)
-    return OrbitFrameSample(
-        b_orbit_tesla=b_orbit,
-        sun_orbit=orbit.to_orbit_frame(s_hat),
-        in_eclipse=_in_eclipse(orbit.position_m, s_hat),
-        density_kgm3=atmospheric_density(cfg.altitude_km),
-        v_orbit_mps=Vec3(orbit.speed_mps, 0.0, 0.0),  # x is along velocity by construction
-        r_orbit_m=Vec3(0.0, 0.0, -orbit.radius_m),    # z points toward the Earth's center
-    )
+    """Attitude-independent environment snapshot at time ``t``, orbit frame.
 
+    * Field: the tilted centered dipole ``B0 (Re/r)^3 (3 (m.r_hat) r_hat -
+      m_hat)``, its axis ``dipole_tilt_deg`` from the inertial z axis (0 gives
+      an axis-aligned dipole).
+    * Eclipse: the cylindrical shadow, on the anti-sun side of the Earth
+      within one Earth radius of the sun line.
+    * Density, velocity and position are the config's constants: x is along
+      the velocity and z points toward the Earth's center by construction.
+    """
+    (rx, ry, rz), _, (xx, xy, xz), (yx, yy, yz), (zx, zy, zz), _, _ = propagate_orbit(cfg, t)
+    _, _, _, _, _, _, _, _, _, _, density, b_scale, v_orbit, r_orbit = cfg.kernel
+    tilt = math.radians(dipole_tilt_deg)
+    mx, mz = math.sin(tilt), math.cos(tilt)
+    nr = math.sqrt(rx * rx + ry * ry + rz * rz)
+    hx, hy, hz = rx / nr, ry / nr, rz / nr
+    mr = mx * hx + 0.0 * hy + mz * hz
+    bx = b_scale * (3.0 * mr * hx - mx)
+    by = b_scale * (3.0 * mr * hy - 0.0)
+    bz = b_scale * (3.0 * mr * hz - mz)
+
+    sx, sy, sz = sun_inertial
+    ns = math.sqrt(sx * sx + sy * sy + sz * sz)
+    if ns == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    sx, sy, sz = sx / ns, sy / ns, sz / ns
+    along = rx * sx + ry * sy + rz * sz
+    if along >= 0.0:
+        in_eclipse = False
+    else:
+        px, py, pz = rx - along * sx, ry - along * sy, rz - along * sz
+        in_eclipse = math.sqrt(px * px + py * py + pz * pz) < _CONSTANTS.earth_radius_m
+    return OrbitFrameSample(
+        Vec3(xx * bx + xy * by + xz * bz, yx * bx + yy * by + yz * bz,
+             zx * bx + zy * by + zz * bz),
+        Vec3(xx * sx + xy * sy + xz * sz, yx * sx + yy * sy + yz * sz,
+             zx * sx + zy * sy + zz * sz),
+        in_eclipse,
+        density,
+        v_orbit,
+        r_orbit,
+    )

@@ -43,7 +43,6 @@ from .control import (
     Gains,
     Mode,
     ModeThresholds,
-    TorqueCommand,
     allocate_magnetorquer,
     error_state,
     mode_transition,
@@ -139,8 +138,6 @@ TELEMETRY_COLUMNS = (
 
 STANDALONE_MODES = ("detumble", "nominal", "spin", "despin", "safe")
 _SCHEDULE_COMMANDS = ("spin", "despin", "safe", "nominal")
-
-_ZERO_CMD = TorqueCommand(ZERO3, ZERO3, 0.0, False, False)
 
 # The hold-time metrics, in the order _Metrics keeps them, and the index of
 # the one each mode is judged by (conops: back in nominal pointing).  Safe
@@ -533,19 +530,18 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
                           s.wheel_momentum0_nms, 0.0)
     transitions: list[tuple[float, str]] = [(0.0, mode.value)]
     rows: list[tuple] = []
-    cmd = _ZERO_CMD
     mag_sat = 0
     wheel_sat = 0
     max_hw = abs(state.wheel_momentum)
     max_tau_b = 0.0
     metrics = _Metrics(s)
 
-    def record(st: AttitudeState, c: TorqueCommand, m: Mode) -> None:
+    def record(st: AttitudeState, tau_m: Vec3, tau_rw: float, m: Mode) -> None:
         euler = quat_to_euler(st.q)
         metrics.add(st.t, st.q, st.omega, euler)
         if telemetry:  # the one place that knows the TELEMETRY_COLUMNS order
             rows.append((st.t, *st.q, *st.omega, *euler,
-                         *c.tau_m, c.tau_rw, st.wheel_momentum, m.value))
+                         *tau_m, tau_rw, st.wheel_momentum, m.value))
 
     for k in range(n_steps):
         if k % env_every == 0:
@@ -558,11 +554,12 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
                 mode = new_mode
                 transitions.append((state.t, mode.value))
 
-        hw = hw_next = state.wheel_momentum
+        hw_next = state.wheel_momentum
         # IDEAL allocation clamps the torque per axis and never reads the field.
         b_ctrl = rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla) if physical else ZERO3
+        tau_rw = 0.0
         if mode is Mode.SAFE:
-            cmd = _ZERO_CMD
+            tau_m = ZERO3
         else:
             wheel = mode is Mode.SPIN or mode is Mode.DESPIN
             if wheel:
@@ -572,41 +569,41 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
             else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
                 tau_m_des = pd_torque(state.q, state.omega, gains)
             cmd = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
+            tau_m = cmd.tau_m
+            if cmd.magnetic_saturated:
+                mag_sat += 1
             if wheel:
-                ws = wheel_step(tau_rw_cmd, hw, limits, dt)
-                cmd = TorqueCommand(cmd.tau_m, cmd.dipole, ws.tau_applied,
-                                    cmd.magnetic_saturated, ws.saturated)
-                hw_next = ws.momentum
+                ws = wheel_step(tau_rw_cmd, hw_next, limits, dt)
+                tau_rw, hw_next = ws.tau_applied, ws.momentum
+                if ws.saturated:
+                    wheel_sat += 1
 
-        if cmd.magnetic_saturated:
-            mag_sat += 1
-        if cmd.wheel_saturated:
-            wheel_sat += 1
         if abs(hw_next) > max_hw:
             max_hw = abs(hw_next)
         if physical:
-            tm_norm = vnorm(cmd.tau_m)
+            tm_norm = vnorm(tau_m)
             b_norm = vnorm(b_ctrl)
             if tm_norm > 0.0 and b_norm > 0.0:
-                rel = abs(vdot(cmd.tau_m, b_ctrl)) / (tm_norm * b_norm)
+                rel = abs(vdot(tau_m, b_ctrl)) / (tm_norm * b_norm)
                 if rel > max_tau_b:
                     max_tau_b = rel
 
         if k % tel_every == 0:
-            record(state, cmd, mode)
+            record(state, tau_m, tau_rw, mode)
 
-        tau_m = cmd.tau_m
-        tau_ext = Vec3(tau_m[0] + tau_d[0], tau_m[1] + tau_d[1], tau_m[2] + tau_d[2])
         # The substep count depends only on the current rate, so runs stay
         # deterministic.
-        phases = vnorm(state.omega) * dt / SUBSTEP_MAX_PHASE_RAD
+        speed = vnorm(state.omega)
+        phases = speed * dt / SUBSTEP_MAX_PHASE_RAD
         if not phases <= MAX_SUBSTEPS:
             raise DivergenceError(k, state.t, mode.value,
-                                  f"|omega| = {vnorm(state.omega):.6g} rad/s needs more "
+                                  f"|omega| = {speed:.6g} rad/s needs more "
                                   f"than {MAX_SUBSTEPS} substeps")
         n_sub = math.ceil(phases) if phases > 1.0 else 1
+        # propagate only unpacks the held torque, so a plain tuple carries it.
+        tau_ext = (tau_m[0] + tau_d[0], tau_m[1] + tau_d[1], tau_m[2] + tau_d[2])
         try:
-            nxt = propagate(state, J, tau_ext, dt, n_sub, wheel_torque=cmd.tau_rw)
+            nxt = propagate(state, J, tau_ext, dt, n_sub, wheel_torque=tau_rw)
         except NonFiniteStateError as exc:
             raise DivergenceError(k, state.t, mode.value, str(exc)) from exc
         # The clock is the step count times dt: a running sum of dt drifts.
@@ -614,7 +611,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         # exactly where the kernel's sum of half-kicks may miss it by an ulp.
         state = AttitudeState(nxt.q, nxt.omega, hw_next, (k + 1) * dt)
 
-    record(state, cmd, mode)
+    record(state, tau_m, tau_rw, mode)
 
     hold_times = metrics.hold_times()
     detumble_s = hold_times["detumble_time_s"]

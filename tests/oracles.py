@@ -3,10 +3,11 @@
 None of this is on the simulation path.  :func:`propagate_reference` is the
 splitting step that :func:`adcslab.rigidbody.propagate` must match bit for
 bit; :func:`rk4_step` on :func:`make_rigid_body_dynamics` is the plain RK4
-that it is checked against for accuracy; :func:`sun_direction` is the
-standalone eclipse test that
-:func:`adcslab.environment.orbit_frame_sample` must agree with; the
-quaternion helpers build test inputs and expected values.
+that it is checked against for accuracy; the environment reference forms
+(the orbit, the dipole field, the eclipse test and each disturbance torque,
+one function per formula) compose to what the one-pass refresh in
+:mod:`adcslab.environment` must match bit for bit; the quaternion helpers
+build test inputs and expected values.
 
 The tests import this module as ``from oracles import ...``: ``tests/`` has
 no ``__init__.py``, so pytest puts the directory on ``sys.path``.
@@ -19,7 +20,16 @@ from typing import Callable
 
 import numpy as np
 
-from adcslab.environment import OrbitConfig, constants, propagate_orbit
+from adcslab.environment import (
+    EnvironmentSample,
+    OrbitConfig,
+    OrbitFrameSample,
+    OrbitState,
+    SpacecraftGeometry,
+    atmospheric_density,
+    constants,
+    propagate_orbit,
+)
 from adcslab.quatmath import (
     Quat,
     Vec3,
@@ -27,6 +37,7 @@ from adcslab.quatmath import (
     normalize_canonical,
     quat_norm,
     rotate_orbit_to_body,
+    vcross,
     vdot,
     vnorm,
     vunit,
@@ -35,6 +46,7 @@ from adcslab.rigidbody import AttitudeState, InertiaTensor, NonFiniteStateError
 
 _Rates = tuple[tuple[float, float, float, float], Vec3]
 Dynamics = Callable[[AttitudeState], _Rates]
+_C = constants()
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +316,204 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
 
 
 # ---------------------------------------------------------------------------
-# Sun and eclipse
+# Environment reference forms
 # ---------------------------------------------------------------------------
+# Each formula written once, through the quatmath helpers, with every
+# constant computed per call.  The one-pass forms in adcslab.environment --
+# propagate_orbit, orbit_frame_sample, OrbitFrameSample.to_body and
+# total_disturbance -- must agree with these compositions bit for bit.
+
+def propagate_orbit_reference(cfg: OrbitConfig, t: float) -> OrbitState:
+    """Two-body circular orbit state at time ``t``, from the config's fields."""
+    a = cfg.radius_m
+    n = math.sqrt(_C.mu_m3s2 / (a * a * a))
+    u = math.radians(cfg.phase_deg) + n * t
+    cu, su = math.cos(u), math.sin(u)
+
+    inc = math.radians(cfg.inclination_deg)
+    raan = math.radians(cfg.raan_deg)
+    ci, si = math.cos(inc), math.sin(inc)
+    cO, sO = math.cos(raan), math.sin(raan)
+    # Columns of Rz(raan) @ Rx(inc): in-plane basis vectors in inertial coords.
+    p_hat = Vec3(cO, sO, 0.0)
+    q_hat = Vec3(-sO * ci, cO * ci, si)
+
+    r = Vec3(a * (cu * p_hat[0] + su * q_hat[0]),
+             a * (cu * p_hat[1] + su * q_hat[1]),
+             a * (cu * p_hat[2] + su * q_hat[2]))
+    speed = n * a
+    v = Vec3(speed * (-su * p_hat[0] + cu * q_hat[0]),
+             speed * (-su * p_hat[1] + cu * q_hat[1]),
+             speed * (-su * p_hat[2] + cu * q_hat[2]))
+
+    bx = vunit(v)
+    bz = vunit(Vec3(-r[0], -r[1], -r[2]))
+    by = vcross(bz, bx)
+    return OrbitState(r, v, bx, by, bz, radius_m=a, speed_mps=speed)
+
+
+def to_orbit_frame(orbit: OrbitState, v_inertial: Vec3) -> Vec3:
+    """An inertial vector in the orbit frame of ``orbit``."""
+    return Vec3(vdot(orbit.basis_x, v_inertial),
+                vdot(orbit.basis_y, v_inertial),
+                vdot(orbit.basis_z, v_inertial))
+
+
+def magnetic_field(orbit: OrbitState, tilt_deg: float = _C.default_dipole_tilt_deg) -> Vec3:
+    """Tilted centered-dipole geomagnetic field at the orbit position, inertial frame.
+
+    B = B0 (Re/r)^3 (3 (m.r_hat) r_hat - m_hat), with the dipole axis tilted
+    ``tilt_deg`` from the inertial z axis (tilt of 0 gives an axis-aligned dipole).
+    """
+    tilt = math.radians(tilt_deg)
+    m_hat = Vec3(math.sin(tilt), 0.0, math.cos(tilt))
+    r_hat = vunit(orbit.position_m)
+    scale = _C.dipole_b0_tesla * (_C.earth_radius_m / orbit.radius_m) ** 3
+    mr = vdot(m_hat, r_hat)
+    return Vec3(
+        scale * (3.0 * mr * r_hat[0] - m_hat[0]),
+        scale * (3.0 * mr * r_hat[1] - m_hat[1]),
+        scale * (3.0 * mr * r_hat[2] - m_hat[2]),
+    )
+
+
+def in_eclipse(r: Vec3, s_hat: Vec3) -> bool:
+    """Cylindrical shadow: on the anti-sun side of the Earth and within one
+    Earth radius of the sun line through its center."""
+    along = vdot(r, s_hat)
+    if along >= 0.0:
+        return False
+    perp = Vec3(r[0] - along * s_hat[0], r[1] - along * s_hat[1], r[2] - along * s_hat[2])
+    return vnorm(perp) < _C.earth_radius_m
+
 
 def sun_direction(
     t: float,
     cfg: OrbitConfig,
     sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0),
 ) -> tuple[Vec3, bool]:
-    """Unit vector toward the sun (inertial) and the cylindrical-shadow eclipse flag.
-
-    The spacecraft is in eclipse when it is on the anti-sun side of the Earth
-    and its position projects inside the Earth-radius shadow cylinder.
-    """
+    """Unit vector toward the sun (inertial) and the cylindrical-shadow eclipse flag."""
     s_hat = vunit(sun_inertial)
-    r = propagate_orbit(cfg, t).position_m
-    along = vdot(r, s_hat)
-    perp = Vec3(r[0] - along * s_hat[0], r[1] - along * s_hat[1], r[2] - along * s_hat[2])
-    return s_hat, along < 0.0 and vnorm(perp) < constants().earth_radius_m
+    return s_hat, in_eclipse(propagate_orbit(cfg, t).position_m, s_hat)
+
+
+def orbit_frame_sample_reference(
+    cfg: OrbitConfig,
+    t: float,
+    sun_inertial: Vec3 = Vec3(1.0, 0.0, 0.0),
+    dipole_tilt_deg: float = _C.default_dipole_tilt_deg,
+) -> OrbitFrameSample:
+    orbit = propagate_orbit_reference(cfg, t)
+    s_hat = vunit(sun_inertial)
+    return OrbitFrameSample(
+        b_orbit_tesla=to_orbit_frame(orbit, magnetic_field(orbit, dipole_tilt_deg)),
+        sun_orbit=to_orbit_frame(orbit, s_hat),
+        in_eclipse=in_eclipse(orbit.position_m, s_hat),
+        density_kgm3=atmospheric_density(cfg.altitude_km),
+        v_orbit_mps=Vec3(orbit.speed_mps, 0.0, 0.0),  # x is along velocity by construction
+        r_orbit_m=Vec3(0.0, 0.0, -orbit.radius_m),    # z points toward the Earth's center
+    )
+
+
+def to_body_reference(sample: OrbitFrameSample, q: Quat) -> EnvironmentSample:
+    return EnvironmentSample(
+        sun_body=rotate_orbit_to_body(q, sample.sun_orbit),
+        in_eclipse=sample.in_eclipse,
+        density_kgm3=sample.density_kgm3,
+        v_rel_body_mps=rotate_orbit_to_body(q, sample.v_orbit_mps),
+        r_body_m=rotate_orbit_to_body(q, sample.r_orbit_m),
+    )
+
+
+def drag_torque(geometry: SpacecraftGeometry, env: EnvironmentSample, cg_m: Vec3) -> Vec3:
+    """Aerodynamic torque from flat-plate drag on the leading faces.
+
+    The force is ``-0.5 Cd rho v^2 sum_i (v_hat . n_i) A_i v_hat`` over faces
+    with ``v_hat . n_i > 0`` and acts at the projected-area-weighted centroid
+    of those faces; the moment arm is that centroid minus the CG.
+    """
+    v = env.v_rel_body_mps
+    speed = vnorm(v)
+    if speed == 0.0 or env.density_kgm3 == 0.0:
+        return Vec3(0.0, 0.0, 0.0)
+    v_hat = Vec3(v[0] / speed, v[1] / speed, v[2] / speed)
+    projected = 0.0
+    cx = cy = cz = 0.0
+    for f in geometry.faces:
+        cosang = vdot(v_hat, f.normal)
+        if cosang > 0.0:
+            w = cosang * f.area_m2
+            projected += w
+            cx += w * f.centroid_m[0]
+            cy += w * f.centroid_m[1]
+            cz += w * f.centroid_m[2]
+    if projected == 0.0:
+        return Vec3(0.0, 0.0, 0.0)
+    magnitude = 0.5 * geometry.drag_coefficient * env.density_kgm3 * speed * speed * projected
+    force = Vec3(-magnitude * v_hat[0], -magnitude * v_hat[1], -magnitude * v_hat[2])
+    arm = Vec3(cx / projected - cg_m[0], cy / projected - cg_m[1], cz / projected - cg_m[2])
+    return vcross(arm, force)
+
+
+def srp_torque(geometry: SpacecraftGeometry, env: EnvironmentSample, cg_m: Vec3) -> Vec3:
+    """Solar radiation pressure torque on the sunlit faces; zero in eclipse.
+
+    Per-face flat-plate force with specular/diffuse reflectances (c_sr, c_dif)::
+
+        F = -(W/c) sum_i A_i (n_i . s) [ (1 - c_sr) s + (2 c_sr (n_i . s) + c_dif / 3) n_i ]
+
+    summed over faces with ``n_i . s > 0``, where ``s`` points toward the sun.
+    """
+    if env.in_eclipse:
+        return Vec3(0.0, 0.0, 0.0)
+    s = env.sun_body
+    pressure = _C.solar_flux_wm2 / _C.speed_of_light_ms
+    c_sr = geometry.specular_reflectance
+    c_dif = geometry.diffuse_reflectance
+    tx = ty = tz = 0.0
+    for f in geometry.faces:
+        cosang = vdot(s, f.normal)
+        if cosang <= 0.0:
+            continue
+        coeff_s = (1.0 - c_sr)
+        coeff_n = 2.0 * c_sr * cosang + c_dif / 3.0
+        scale = -pressure * f.area_m2 * cosang
+        fx = scale * (coeff_s * s[0] + coeff_n * f.normal[0])
+        fy = scale * (coeff_s * s[1] + coeff_n * f.normal[1])
+        fz = scale * (coeff_s * s[2] + coeff_n * f.normal[2])
+        ax = f.centroid_m[0] - cg_m[0]
+        ay = f.centroid_m[1] - cg_m[1]
+        az = f.centroid_m[2] - cg_m[2]
+        tx += ay * fz - az * fy
+        ty += az * fx - ax * fz
+        tz += ax * fy - ay * fx
+    return Vec3(tx, ty, tz)
+
+
+def gravity_gradient_torque(J: InertiaTensor, r_body_m: Vec3) -> Vec3:
+    """Gravity-gradient torque ``3 mu / |r|^5 * (r x J r)`` in the body frame."""
+    jr = J.dot(r_body_m)
+    r = vnorm(r_body_m)
+    scale = 3.0 * _C.mu_m3s2 / r**5
+    c = vcross(r_body_m, jr)
+    return Vec3(scale * c[0], scale * c[1], scale * c[2])
+
+
+def total_disturbance_reference(
+    geometry: SpacecraftGeometry,
+    env: EnvironmentSample,
+    J: InertiaTensor,
+    cg_m: Vec3,
+    include: tuple[bool, bool, bool] = (True, True, True),
+) -> Vec3:
+    tx = ty = tz = 0.0
+    if include[0]:
+        d = drag_torque(geometry, env, cg_m)
+        tx += d[0]; ty += d[1]; tz += d[2]
+    if include[1]:
+        s = srp_torque(geometry, env, cg_m)
+        tx += s[0]; ty += s[1]; tz += s[2]
+    if include[2]:
+        g = gravity_gradient_torque(J, env.r_body_m)
+        tx += g[0]; ty += g[1]; tz += g[2]
+    return Vec3(tx, ty, tz)

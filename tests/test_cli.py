@@ -405,6 +405,29 @@ def test_montecarlo_rejects_a_bad_omega_range(flags, capsys):
     assert err.startswith("error: ") and "omega_rpm_range" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--regolith-cm", "1,1,1"],
+    ["--regolith", "stowed"],
+    ["--regolith", "sampled", "--vary", "omega,regolith", "--omega-range=-1,1"],
+])
+def test_montecarlo_rejects_a_placement_under_vary_regolith(flags, tmp_path, capsys):
+    """--vary regolith (the default) draws each member's placement, so a
+    placement flag would be dropped; it is refused before any run."""
+    assert main(MC + flags + ["--out", "mc.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--vary regolith" in err
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_montecarlo_keeps_a_placement_when_it_varies_only_the_rates(tmp_path):
+    rc = main(["montecarlo", "--mode", "spin", "--duration-s", "2", "--runs", "2",
+               "--regolith-cm", "1,1,1", "--vary", "omega", "--omega-range", "0,0.5",
+               "--quiet", "--out", "mc.csv"])
+    assert rc in (0, 2)
+    rows = (tmp_path / "mc.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[9:12] for row in rows] == [["1.0", "1.0", "1.0"]] * 2
+
+
 # ------------------------------------------------------------- parser plumbing
 
 def test_parser_defaults():

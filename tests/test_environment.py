@@ -1,4 +1,7 @@
+import itertools
 import math
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,16 +16,12 @@ from adcslab.environment import (
     SpacecraftGeometry,
     atmospheric_density,
     constants,
-    drag_torque,
-    gravity_gradient_torque,
-    magnetic_field,
     orbit_frame_sample,
     orbit_period,
     propagate_orbit,
-    srp_torque,
     total_disturbance,
 )
-from adcslab.massmodel import bundled_catalog, mass_properties
+from adcslab.harness import Scenario, assemble
 from adcslab.quatmath import (
     IDENTITY,
     Vec3,
@@ -34,7 +33,18 @@ from adcslab.quatmath import (
     vunit,
 )
 from adcslab.rigidbody import InertiaTensor
-from oracles import sun_direction
+from oracles import (
+    drag_torque,
+    gravity_gradient_torque,
+    magnetic_field,
+    orbit_frame_sample_reference,
+    propagate_orbit_reference,
+    srp_torque,
+    sun_direction,
+    to_body_reference,
+    to_orbit_frame,
+    total_disturbance_reference,
+)
 
 CFG = OrbitConfig()
 C = constants()
@@ -107,9 +117,9 @@ def test_basis_z_points_at_earth_and_x_along_velocity(t):
 
 def test_to_orbit_frame_projects_onto_basis():
     s = propagate_orbit(CFG, 987.0)
-    assert s.to_orbit_frame(s.basis_x) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-    assert s.to_orbit_frame(s.basis_y) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
-    assert s.to_orbit_frame(s.basis_z) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+    assert to_orbit_frame(s, s.basis_x) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    assert to_orbit_frame(s, s.basis_y) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+    assert to_orbit_frame(s, s.basis_z) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
 
 def test_equatorial_orbit_stays_in_plane():
@@ -482,15 +492,15 @@ def test_total_include_flags_isolate_each_term():
 
 
 def test_disturbance_budget_for_bundled_spacecraft():
-    """Summed disturbance stays well under 1e-5 N*m everywhere on the orbit."""
-    props = mass_properties(bundled_catalog())
-    cg_m = Vec3(props.cg_cm.x * 0.01, props.cg_cm.y * 0.01, props.cg_cm.z * 0.01)
+    """Summed disturbance stays well under 1e-5 N*m everywhere on the orbit,
+    for the bundled catalog's tensor (floored) and CG as a run assembles them."""
+    asm = assemble(Scenario())
     geom = SpacecraftGeometry.box()
     q = quat_from_euler(30.0, 20.0, 10.0)
     T = orbit_period(CFG)
     worst = max(
         vnorm(total_disturbance(geom, orbit_frame_sample(CFG, i * T / 100.0).to_body(q),
-                                props.inertia_kgm2, cg_m))
+                                asm.inertia, asm.cg_m))
         for i in range(100)
     )
     assert worst < 1e-5
@@ -541,3 +551,128 @@ def test_to_body_rotates_every_vector_consistently():
     assert env.v_rel_body_mps == rotate_orbit_to_body(q, s.v_orbit_mps)
     assert env.r_body_m == rotate_orbit_to_body(q, s.r_orbit_m)
     assert vnorm(env.r_body_m) == pytest.approx(vnorm(s.r_orbit_m), rel=1e-12)
+
+
+# ----------------------------------------------------------------- one pass against the references
+
+def _unit_or_none(v: Vec3):
+    n = vnorm(v)
+    return None if n < 1e-3 else Vec3(v.x / n, v.y / n, v.z / n)
+
+
+signed_unit = st.one_of(signed_zero, st.floats(-1.0, 1.0))
+unit_quats = st.tuples(*[signed_unit] * 4).filter(
+    lambda q: math.sqrt(sum(c * c for c in q)) > 1e-3).map(
+    lambda q: tuple(c / math.sqrt(sum(x * x for x in q)) for c in q))
+offsets = st.builds(Vec3, *[st.one_of(signed_zero, st.floats(-0.05, 0.05))] * 3)
+includes = st.tuples(st.booleans(), st.booleans(), st.booleans())
+tensors = st.sampled_from([
+    InertiaTensor.diagonal(0.0156, 0.0156, 0.005),
+    InertiaTensor([[0.02, 1e-4, -5e-4], [1e-4, 0.018, 2e-4], [-5e-4, 2e-4, 0.006]]),
+    assemble(Scenario()).inertia,
+])
+
+
+@st.composite
+def geometries(draw) -> SpacecraftGeometry:
+    specular = draw(st.floats(0.0, 1.0))
+    return SpacecraftGeometry.box(
+        *(draw(st.floats(0.01, 0.5)) for _ in range(3)),
+        drag_coefficient=draw(st.floats(0.0, 4.0)),
+        specular_reflectance=specular,
+        diffuse_reflectance=draw(st.floats(0.0, 1.0 - specular)))
+
+
+@given(altitude=st.floats(200.0, 2000.0), inclination=angles, raan=angles, phase=angles,
+       tilt=angles, sun=sun_vectors, t=st.one_of(signed_zero, st.floats(0.0, 1e5)),
+       q=unit_quats, cg=offsets, include=includes, geometry=geometries(), J=tensors)
+@settings(max_examples=150, deadline=None)
+def test_refresh_matches_the_reference_forms_bit_for_bit(altitude, inclination, raan, phase,
+                                                         tilt, sun, t, q, cg, include,
+                                                         geometry, J):
+    """The orbit, the orbit-frame sample, its body-frame form and the summed
+    torque equal, by ``float.hex``, the composition of the reference forms
+    in ``tests/oracles.py``, which compute every constant per call."""
+    cfg = OrbitConfig(altitude, inclination, raan, phase)
+    assert _hexes(propagate_orbit(cfg, t)) == _hexes(propagate_orbit_reference(cfg, t))
+    sample = orbit_frame_sample(cfg, t, sun, tilt)
+    reference = orbit_frame_sample_reference(cfg, t, sun, tilt)
+    assert _hexes(sample) == _hexes(reference)
+    env = sample.to_body(q)
+    assert _hexes(env) == _hexes(to_body_reference(reference, q))
+    assert (_hexes(total_disturbance(geometry, env, J, cg, include))
+            == _hexes(total_disturbance_reference(geometry, env, J, cg, include)))
+
+
+@given(sun=sun_vectors.map(_unit_or_none).filter(lambda v: v is not None),
+       eclipse=st.booleans(),
+       density=st.one_of(signed_zero, st.floats(1e-16, 1e-9)),
+       v=st.builds(Vec3, *[st.one_of(signed_zero, st.floats(-8000.0, 8000.0))] * 3),
+       r_hat=sun_vectors.map(_unit_or_none).filter(lambda v: v is not None),
+       cg=offsets, include=includes, geometry=geometries(), J=tensors)
+@settings(max_examples=150, deadline=None)
+def test_total_disturbance_matches_the_references_on_any_sample(sun, eclipse, density, v,
+                                                                r_hat, cg, include,
+                                                                geometry, J):
+    """Still or airless samples, faces edge-on to the flow or the sun, signed
+    zeros and either side of the shadow: the one pass sums what the three
+    reference torques sum."""
+    r = Vec3(r_hat.x * CFG.radius_m, r_hat.y * CFG.radius_m, r_hat.z * CFG.radius_m)
+    env = EnvironmentSample(sun, eclipse, density, v, r)
+    assert (_hexes(total_disturbance(geometry, env, J, cg, include))
+            == _hexes(total_disturbance_reference(geometry, env, J, cg, include)))
+
+
+@pytest.mark.parametrize("include", list(itertools.product((False, True), repeat=3)))
+def test_refresh_matches_the_references_on_both_sides_of_eclipse(include):
+    """One orbit with the sun in its plane, an off-centre CG and a tumbling
+    attitude: every sample, lit or shadowed, equals the references'."""
+    geometry = SpacecraftGeometry.box()
+    J = assemble(Scenario()).inertia
+    cg = Vec3(0.003, -0.002, -0.0079)
+    sun = Vec3(0.3, -2.0, 0.5)
+    T = orbit_period(CFG)
+    flags = []
+    for i in range(60):
+        t = i * T / 60.0
+        q = quat_from_euler(7.0 * i, 3.0 * i - 80.0, -11.0 * i)
+        sample = orbit_frame_sample(CFG, t, sun)
+        reference = orbit_frame_sample_reference(CFG, t, sun)
+        assert _hexes(sample) == _hexes(reference)
+        env = sample.to_body(q)
+        assert _hexes(env) == _hexes(to_body_reference(reference, q))
+        assert (_hexes(total_disturbance(geometry, env, J, cg, include))
+                == _hexes(total_disturbance_reference(geometry, env, J, cg, include)))
+        flags.append(sample.in_eclipse)
+    assert any(flags) and not all(flags)
+
+
+def test_stored_constants_leave_equality_repr_hash_and_pickling_alone():
+    """The ``kernel`` slots are derived: not arguments, not compared, not
+    shown, not hashed; a pickled config or geometry brings its own along."""
+    cfg = OrbitConfig(500.0, 97.4, -0.0, 12.5)
+    assert [f.name for f in fields(OrbitConfig) if f.init] == [
+        "altitude_km", "inclination_deg", "raan_deg", "phase_deg"]
+    assert repr(cfg) == ("OrbitConfig(altitude_km=500.0, inclination_deg=97.4, "
+                         "raan_deg=-0.0, phase_deg=12.5)")
+    assert cfg == OrbitConfig(500.0, 97.4, 0.0, 12.5)  # -0.0 == 0.0, field by field
+    assert cfg != OrbitConfig(500.0, 97.4, 0.0, 12.0)
+    assert hash(cfg) == hash((500.0, 97.4, -0.0, 12.5))
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg and _hexes(back.kernel) == _hexes(cfg.kernel)
+    assert _hexes(propagate_orbit(back, 321.0)) == _hexes(propagate_orbit(cfg, 321.0))
+    moved = replace(cfg, altitude_km=600.0)
+    assert _hexes(moved.kernel) == _hexes(OrbitConfig(600.0, 97.4, -0.0, 12.5).kernel)
+    with pytest.raises(TypeError):
+        OrbitConfig(400.0, 51.6, 0.0, 0.0, ())
+
+    geom = SpacecraftGeometry.box(0.1, 0.2, 0.3, drag_coefficient=2.0)
+    assert [f.name for f in fields(SpacecraftGeometry) if f.init] == [
+        "faces", "drag_coefficient", "specular_reflectance", "diffuse_reflectance"]
+    assert repr(geom) == (f"SpacecraftGeometry(faces={geom.faces!r}, drag_coefficient=2.0, "
+                          f"specular_reflectance={C.specular_reflectance!r}, "
+                          f"diffuse_reflectance={C.diffuse_reflectance!r})")
+    assert geom == SpacecraftGeometry(geom.faces, 2.0)
+    assert hash(geom) == hash((geom.faces, 2.0, C.specular_reflectance, C.diffuse_reflectance))
+    back = pickle.loads(pickle.dumps(geom))
+    assert back == geom and _hexes(back.kernel) == _hexes(geom.kernel)

@@ -365,18 +365,15 @@ def total_disturbance(
                 stz += ax * fy - ay * fx
 
     tx = ty = tz = 0.0
-    if include[0]:
-        if drag and projected != 0.0:
-            magnitude = half_cd * density * speed * speed * projected
-            fx, fy, fz = -magnitude * vhx, -magnitude * vhy, -magnitude * vhz
-            ax = cx / projected - cgx
-            ay = cy / projected - cgy
-            az = cz / projected - cgz
-            tx += ay * fz - az * fy
-            ty += az * fx - ax * fz
-            tz += ax * fy - ay * fx
-        else:
-            tx += 0.0; ty += 0.0; tz += 0.0
+    if drag and projected != 0.0:
+        magnitude = half_cd * density * speed * speed * projected
+        fx, fy, fz = -magnitude * vhx, -magnitude * vhy, -magnitude * vhz
+        ax = cx / projected - cgx
+        ay = cy / projected - cgy
+        az = cz / projected - cgz
+        tx += ay * fz - az * fy
+        ty += az * fx - ax * fz
+        tz += ax * fy - ay * fx
     if include[1]:
         tx += stx; ty += sty; tz += stz
     if include[2]:

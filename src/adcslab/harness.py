@@ -554,7 +554,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
                 mode = new_mode
                 transitions.append((state.t, mode.value))
 
-        hw_next = state.wheel_momentum
+        hw = hw_next = state.wheel_momentum
         # IDEAL allocation clamps the torque per axis and never reads the field.
         b_ctrl = rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla) if physical else ZERO3
         tau_rw = 0.0
@@ -573,7 +573,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
             if cmd.magnetic_saturated:
                 mag_sat += 1
             if wheel:
-                ws = wheel_step(tau_rw_cmd, hw_next, limits, dt)
+                ws = wheel_step(tau_rw_cmd, hw, limits, dt)
                 tau_rw, hw_next = ws.tau_applied, ws.momentum
                 if ws.saturated:
                     wheel_sat += 1

@@ -89,7 +89,13 @@ class Gains:
 
 @dataclass(frozen=True, slots=True)
 class ActuatorLimits:
-    """Saturation limits for the magnetorquers and the reaction wheel."""
+    """Saturation limits for the magnetorquers and the reaction wheel.
+
+    Each magnetorquer allocation reads one of the two magnetic limits: IDEAL
+    clamps the torque per axis to ``max_magnetic_torque_nm``, PHYSICAL clamps
+    the dipole per axis to ``max_dipole_am2``.  The wheel limits hold at
+    either fidelity.
+    """
 
     max_dipole_am2: float = 0.2
     max_magnetic_torque_nm: float = 1e-5
@@ -101,6 +107,10 @@ class ActuatorLimits:
 
 
 class Fidelity(Enum):
+    """Magnetorquer allocation: IDEAL reads only
+    ``ActuatorLimits.max_magnetic_torque_nm``, PHYSICAL only
+    ``ActuatorLimits.max_dipole_am2``."""
+
     IDEAL = "ideal"
     PHYSICAL = "physical"
 
@@ -130,9 +140,7 @@ class ErrorState(NamedTuple):
 class TorqueCommand(NamedTuple):
     tau_m: Vec3              # magnetic torque actually applied, N*m
     dipole: Vec3             # commanded dipole, A*m^2 (zero in IDEAL mode)
-    tau_rw: float            # wheel torque applied to the body about x, N*m
     magnetic_saturated: bool
-    wheel_saturated: bool
 
 
 class WheelStep(NamedTuple):
@@ -212,7 +220,7 @@ def allocate_magnetorquer(
             orthogonal to the field.
 
     Returns:
-        TorqueCommand with the applied torque, the dipole, and saturation flags.
+        TorqueCommand with the applied torque, the dipole, and the saturation flag.
 
     Raises:
         ZeroFieldError: PHYSICAL allocation with |B| = 0.
@@ -224,7 +232,7 @@ def allocate_magnetorquer(
                    lim if y > lim else -lim if y < -lim else y,
                    lim if z > lim else -lim if z < -lim else z)
         saturated = x > lim or x < -lim or y > lim or y < -lim or z > lim or z < -lim
-        return TorqueCommand(tau, ZERO3, 0.0, saturated, False)
+        return TorqueCommand(tau, ZERO3, saturated)
 
     bx, by, bz = b_body
     b2 = bx * bx + by * by + bz * bz
@@ -239,7 +247,7 @@ def allocate_magnetorquer(
     saturated = (cmx, cmy, cmz) != (mx, my, mz)
     dipole = Vec3(cmx, cmy, cmz)
     tau = Vec3(cmy * bz - cmz * by, cmz * bx - cmx * bz, cmx * by - cmy * bx)
-    return TorqueCommand(tau, dipole, 0.0, saturated, False)
+    return TorqueCommand(tau, dipole, saturated)
 
 
 def wheel_step(tau_commanded: float, momentum: float, limits: ActuatorLimits,
@@ -293,10 +301,10 @@ def mode_transition(
     return mode
 
 
-def total_control(cmd: TorqueCommand) -> Vec3:
+def total_control(tau_m: Vec3, tau_rw: float) -> Vec3:
     """Net actuator torque on the hull: magnetics plus the x-axis wheel.
 
     The loop hands the two to ``propagate`` apart: the magnetic torque is
     external, while the wheel's only moves momentum between wheel and body.
     """
-    return Vec3(cmd.tau_m[0] + cmd.tau_rw, cmd.tau_m[1], cmd.tau_m[2])
+    return Vec3(tau_m[0] + tau_rw, tau_m[1], tau_m[2])

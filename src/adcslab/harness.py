@@ -30,7 +30,6 @@ so results are bitwise reproducible and independent of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from statistics import fmean
 from typing import Iterable, Sequence, TextIO
@@ -82,12 +81,7 @@ from .quatmath import (
     visfinite,
     vnorm,
 )
-from .rigidbody import (
-    AttitudeState,
-    InertiaTensor,
-    NonFiniteStateError,
-    propagate,
-)
+from .rigidbody import InertiaTensor, NonFiniteStateError, propagate
 
 __all__ = [
     "Scenario",
@@ -278,9 +272,15 @@ class Scenario:
 
     def resolved_cadence_s(self, duration_s: float) -> float:
         """Seconds between telemetry rows, as recorded."""
-        if self.telemetry_cadence_s is None and duration_s <= 120.0:
-            return self.dt_s  # every step for short runs, about 1 Hz for orbit-scale ones
-        return self.dt_s * _whole_steps(self, "telemetry_cadence_s")
+        return self.dt_s * _telemetry_steps(self, duration_s)
+
+
+def _telemetry_steps(s: Scenario, duration_s: float) -> int:
+    """Steps between telemetry rows: every step for runs up to 120 s, about
+    1 Hz for orbit-scale ones, unless ``telemetry_cadence_s`` is given."""
+    if s.telemetry_cadence_s is None and duration_s <= 120.0:
+        return 1
+    return _whole_steps(s, "telemetry_cadence_s")
 
 
 def _whole_steps(s: Scenario, name: str) -> int:
@@ -512,7 +512,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     duration = s.resolved_duration_s()
     dt = s.dt_s
     n_steps = max(1, int(round(duration / dt)))
-    tel_every = max(1, int(round(s.resolved_cadence_s(duration) / dt)))
+    tel_every = _telemetry_steps(s, duration)
     env_every = _whole_steps(s, "env_update_every_s")
 
     gains, limits, thresholds = s.gains, s.limits, s.thresholds
@@ -526,48 +526,51 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     # Step -> command; of two commands for one step, the later one given wins.
     schedule = {max(0, int(round(t / dt))): Mode(cmd) for t, cmd in s.schedule}
 
-    state = AttitudeState(normalize_canonical(s.q0), Vec3(*s.omega0_radps),
-                          s.wheel_momentum0_nms, 0.0)
+    # The state is the locals q, omega and hw, with the clock t = k * dt
+    # taken from the step count: a running sum of dt drifts.
+    q = normalize_canonical(s.q0)
+    omega = Vec3(*s.omega0_radps)
+    hw = s.wheel_momentum0_nms
     transitions: list[tuple[float, str]] = [(0.0, mode.value)]
     rows: list[tuple] = []
     mag_sat = 0
     wheel_sat = 0
-    max_hw = abs(state.wheel_momentum)
+    max_hw = abs(hw)
     max_tau_b = 0.0
     metrics = _Metrics(s)
 
-    def record(st: AttitudeState, tau_m: Vec3, tau_rw: float, m: Mode) -> None:
-        euler = quat_to_euler(st.q)
-        metrics.add(st.t, st.q, st.omega, euler)
+    def record(t: float, q: Quat, omega: Vec3, hw: float, tau_m: Vec3, tau_rw: float,
+               m: Mode) -> None:
+        euler = quat_to_euler(q)
+        metrics.add(t, q, omega, euler)
         if telemetry:  # the one place that knows the TELEMETRY_COLUMNS order
-            rows.append((st.t, *st.q, *st.omega, *euler,
-                         *tau_m, tau_rw, st.wheel_momentum, m.value))
+            rows.append((t, *q, *omega, *euler, *tau_m, tau_rw, hw, m.value))
 
     for k in range(n_steps):
+        t = k * dt
         if k % env_every == 0:
-            orbit_env = orbit_frame_sample(cfg, state.t, s.sun_inertial, s.dipole_tilt_deg)
-            tau_d = total_disturbance(s.geometry, orbit_env.to_body(state.q), J, cg_m, include)
+            orbit_env = orbit_frame_sample(cfg, t, s.sun_inertial, s.dipole_tilt_deg)
+            tau_d = total_disturbance(s.geometry, orbit_env.to_body(q), J, cg_m, include)
 
         if conops:
-            new_mode = mode_transition(mode, state.omega, thresholds, schedule.get(k))
+            new_mode = mode_transition(mode, omega, thresholds, schedule.get(k))
             if new_mode is not mode:
                 mode = new_mode
-                transitions.append((state.t, mode.value))
+                transitions.append((t, mode.value))
 
-        hw = hw_next = state.wheel_momentum
+        hw_next = hw
         # IDEAL allocation clamps the torque per axis and never reads the field.
-        b_ctrl = rotate_orbit_to_body(state.q, orbit_env.b_orbit_tesla) if physical else ZERO3
+        b_ctrl = rotate_orbit_to_body(q, orbit_env.b_orbit_tesla) if physical else ZERO3
         tau_rw = 0.0
         if mode is Mode.SAFE:
             tau_m = ZERO3
         else:
             wheel = mode is Mode.SPIN or mode is Mode.DESPIN
             if wheel:
-                err = error_state(state.q, state.omega,
-                                  spin_omega if mode is Mode.SPIN else ZERO3)
+                err = error_state(q, omega, spin_omega if mode is Mode.SPIN else ZERO3)
                 tau_rw_cmd, tau_m_des = spin_torques(err, gains)
             else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
-                tau_m_des = pd_torque(state.q, state.omega, gains)
+                tau_m_des = pd_torque(q, omega, gains)
             cmd = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
             tau_m = cmd.tau_m
             if cmd.magnetic_saturated:
@@ -589,35 +592,36 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
                     max_tau_b = rel
 
         if k % tel_every == 0:
-            record(state, tau_m, tau_rw, mode)
+            record(t, q, omega, hw, tau_m, tau_rw, mode)
 
         # The substep count depends only on the current rate, so runs stay
         # deterministic.
-        speed = vnorm(state.omega)
+        speed = vnorm(omega)
         phases = speed * dt / SUBSTEP_MAX_PHASE_RAD
         if not phases <= MAX_SUBSTEPS:
-            raise DivergenceError(k, state.t, mode.value,
+            raise DivergenceError(k, t, mode.value,
                                   f"|omega| = {speed:.6g} rad/s needs more "
                                   f"than {MAX_SUBSTEPS} substeps")
         n_sub = math.ceil(phases) if phases > 1.0 else 1
-        # propagate only unpacks the held torque, so a plain tuple carries it.
+        # propagate only unpacks its state and the held torque, so plain
+        # tuples carry them.
         tau_ext = (tau_m[0] + tau_d[0], tau_m[1] + tau_d[1], tau_m[2] + tau_d[2])
         try:
-            nxt = propagate(state, J, tau_ext, dt, n_sub, wheel_torque=tau_rw)
+            q, omega, _, _ = propagate((q, omega, hw, t), J, tau_ext, dt, n_sub,
+                                       wheel_torque=tau_rw)
         except NonFiniteStateError as exc:
-            raise DivergenceError(k, state.t, mode.value, str(exc)) from exc
-        # The clock is the step count times dt: a running sum of dt drifts.
+            raise DivergenceError(k, t, mode.value, str(exc)) from exc
         # The wheel keeps wheel_step's momentum, which lands on the stop
         # exactly where the kernel's sum of half-kicks may miss it by an ulp.
-        state = AttitudeState(nxt.q, nxt.omega, hw_next, (k + 1) * dt)
+        hw = hw_next
 
-    record(state, tau_m, tau_rw, mode)
+    record(n_steps * dt, q, omega, hw, tau_m, tau_rw, mode)
 
     hold_times = metrics.hold_times()
     detumble_s = hold_times["detumble_time_s"]
     if conops:  # back in nominal with tame rates, schedule fully issued
         converged = (mode is Mode.NOMINAL and all(step < n_steps for step in schedule)
-                     and vnorm(state.omega) < thresholds.detumble_exit_radps)
+                     and vnorm(omega) < thresholds.detumble_exit_radps)
     else:
         converged = metrics.primary_time() is not None
     max_qe, max_speed, max_cone = metrics.post_settle()
@@ -633,10 +637,10 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         steps=n_steps,
         detumble_time_orbits=None if detumble_s is None else detumble_s / period,
         **hold_times,
-        final_q=state.q,
-        final_omega_radps=state.omega,
-        final_speed_radps=vnorm(state.omega),
-        final_wheel_momentum_nms=state.wheel_momentum,
+        final_q=q,
+        final_omega_radps=omega,
+        final_speed_radps=vnorm(omega),
+        final_wheel_momentum_nms=hw,
         max_qe_post_settle=max_qe,
         max_speed_post_settle_radps=max_speed,
         max_cone_angle_post_settle_deg=max_cone,
@@ -772,6 +776,8 @@ def monte_carlo(
                              f"hi - lo, got {tuple(omega_rpm_range)}")
     tasks = [(base, seed, i, vary, omega_rpm_range) for i in range(n_runs)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_run, tasks))
     else:
@@ -808,10 +814,12 @@ def default_scenario(mode: str = "detumble", **overrides) -> Scenario:
     timing actually sees once pointing geometry washes out.  The spin and
     despin maneuvers finish in seconds, so they carry the instantaneous
     hardware limits instead: over that arc the field is effectively
-    frozen and m x B delivers the full rated torque, which is also what
-    keeps the spin-up stable when an off-axis payload couples the wheel's
-    momentum into the transverse axes.  Keyword overrides are applied on
-    top of the preset.
+    frozen and m x B delivers the full rated torque.  At ideal fidelity
+    that is also what keeps the spin-up stable when an off-axis payload
+    couples the wheel's momentum into the transverse axes.  Both are torque
+    limits, which physical fidelity does not read: it clamps the dipole to
+    ``max_dipole_am2``, so it runs the same under either.  Keyword
+    overrides are applied on top of the preset.
     """
     w35 = 35.0 * RPM_TO_RADPS
     w5 = 5.0 * RPM_TO_RADPS

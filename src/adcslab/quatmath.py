@@ -63,23 +63,8 @@ def vdot(a: Vec3, b: Vec3) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def vcross(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def vnorm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def vunit(a: Vec3) -> Vec3:
-    n = vnorm(a)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return Vec3(a[0] / n, a[1] / n, a[2] / n)
 
 
 def visfinite(a: Vec3) -> bool:

@@ -125,12 +125,6 @@ class InertiaTensor:
     def matrix(self) -> np.ndarray:
         return self._m.copy()
 
-    def dot(self, v: Vec3) -> Vec3:
-        (a, b, c), (d, e, f), (g, h, i) = self.rows
-        return Vec3(a * v[0] + b * v[1] + c * v[2],
-                    d * v[0] + e * v[1] + f * v[2],
-                    g * v[0] + h * v[1] + i * v[2])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"InertiaTensor({self._m.tolist()})"
 
@@ -157,14 +151,15 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
 
     ``torque`` (body frame, external) and ``wheel_torque`` (the x-axis
     wheel's torque on the body) are held over ``dt``; the wheel torque moves
-    momentum between wheel and body and leaves the total unchanged.  The
-    state moves to the principal frame once, runs the substeps on plain
-    local floats, and moves back; ``propagate_reference`` in
-    ``tests/oracles.py`` is the same step written with quaternion helpers and
-    must match it bit for bit.  For an axisymmetric tensor the choice of the
-    one-rotation drift is made once per call, and a run whose wheel holds no
-    momentum and applies no torque does no wheel work.  This is the
-    simulation hot path.
+    momentum between wheel and body and leaves the total unchanged.
+    ``state`` is unpacked by position, so a plain ``(q, omega, hw, t)`` tuple
+    serves as well as an :class:`AttitudeState`.  The state moves to the
+    principal frame once, runs the substeps on plain local floats, and moves
+    back; ``propagate_reference`` in ``tests/oracles.py`` is the same step
+    written with quaternion helpers and must match it bit for bit.  For an
+    axisymmetric tensor the choice of the one-rotation drift is made once per
+    call, and a run whose wheel holds no momentum and applies no torque does
+    no wheel work.  This is the simulation hot path.
 
     Raises:
         ValueError: on a non-positive or non-finite ``dt``, or ``n_sub < 1``.
@@ -177,9 +172,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
     ax, ay, az, bx, by, bz, cx, cy, cz, i1, i2, i3, e0, e1, e2, e3, d1, d3 = J.kernel
     tx, ty, tz = torque
-    wx, wy, wz = state.omega
-    q0, q1, q2, q3 = state.q
-    hw = state.wheel_momentum
+    (q0, q1, q2, q3), (wx, wy, wz), hw, t = state
     step = dt / n_sub
     sqrt, cos, sin = math.sqrt, math.cos, math.sin
 
@@ -277,7 +270,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
                 hw = hw + kw
             h1, h2, h3 = h1 + k1, h2 + k2, h3 + k3
     except ValueError as exc:  # math.cos and math.sin of an infinite angle
-        raise _runaway(state.t, step) from exc
+        raise _runaway(t, step) from exc
 
     # Back to the structure frame: q (x) conj(e) and omega = V diag(I)^-1 H.
     e1, e2, e3 = -e1, -e2, -e3
@@ -287,7 +280,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
                       q0 * e3 + q1 * e2 - q2 * e1 + q3 * e0)
     n = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if not (n > 0.0 and math.isfinite(n + h1 + h2 + h3)):
-        raise _runaway(state.t, step)
+        raise _runaway(t, step)
     q0 = q0 / n
     q1 = q1 / n
     q2 = q2 / n
@@ -303,7 +296,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
         Quat(q0 + 0.0, q1 + 0.0, q2 + 0.0, q3 + 0.0),  # + 0.0 turns -0.0 into 0.0
         Vec3(w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,
              w1 * az + w2 * bz + w3 * cz),
-        hw, state.t + dt)
+        hw, t + dt)
 
 
 def _runaway(t: float, step: float) -> NonFiniteStateError:

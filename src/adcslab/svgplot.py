@@ -8,7 +8,7 @@ references.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .harness import Telemetry
 
@@ -79,7 +79,7 @@ def _panel(x: list[float], series: list[list[float]], labels, y_unit: str,
                    f'y2="{zy:.2f}" stroke="#ccc" stroke-dasharray="4 3"/>')
     out.append(f'<text x="{left - 48}" y="{top + height / 2:.2f}" font-size="12" '
                f'fill="#222" transform="rotate(-90 {left - 48} {top + height / 2:.2f})" '
-               f'text-anchor="middle">{escape(y_unit)}</text>')
+               f'text-anchor="middle">{escape(y_unit, quote=False)}</text>')
     for s, label, color in zip(series, labels, _COLORS):
         pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, s))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -89,7 +89,7 @@ def _panel(x: list[float], series: list[list[float]], labels, y_unit: str,
         out.append(f'<line x1="{lx}" y1="{top + 12}" x2="{lx + 14}" y2="{top + 12}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 18}" y="{top + 16}" font-size="11" '
-                   f'fill="#222">{escape(label)}</text>')
+                   f'fill="#222">{escape(label, quote=False)}</text>')
     return out
 
 
@@ -112,7 +112,7 @@ def render_plot(telemetry: Telemetry, title: str | None = None) -> str:
     ]
     if title:
         parts.append(f'<text x="{_WIDTH / 2}" y="20" font-size="14" '
-                     f'text-anchor="middle" fill="#111">{escape(title)}</text>')
+                     f'text-anchor="middle" fill="#111">{escape(title, quote=False)}</text>')
     parts += _panel(x, rates, _RATE_LABELS, "body rate (rad/s)", _MARGIN_T)
     second_top = _MARGIN_T + _PANEL_H + _PANEL_GAP
     parts += _panel(x, eulers, _EULER_LABELS, "Euler angle (deg)", second_top)

@@ -6,8 +6,8 @@ bit; :func:`rk4_step` on :func:`make_rigid_body_dynamics` is the plain RK4
 that it is checked against for accuracy; the environment reference forms
 (the orbit, the dipole field, the eclipse test and each disturbance torque,
 one function per formula) compose to what the one-pass refresh in
-:mod:`adcslab.environment` must match bit for bit; the quaternion helpers
-build test inputs and expected values.
+:mod:`adcslab.environment` must match bit for bit; the quaternion and
+vector helpers build test inputs and expected values.
 
 The tests import this module as ``from oracles import ...``: ``tests/`` has
 no ``__init__.py``, so pytest puts the directory on ``sys.path``.
@@ -37,10 +37,8 @@ from adcslab.quatmath import (
     normalize_canonical,
     quat_norm,
     rotate_orbit_to_body,
-    vcross,
     vdot,
     vnorm,
-    vunit,
 )
 from adcslab.rigidbody import AttitudeState, InertiaTensor, NonFiniteStateError
 
@@ -55,6 +53,29 @@ _C = constants()
 
 def vsub(a: Vec3, b: Vec3) -> Vec3:
     return Vec3(a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def vcross(a: Vec3, b: Vec3) -> Vec3:
+    return Vec3(
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def vunit(a: Vec3) -> Vec3:
+    n = vnorm(a)
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return Vec3(a[0] / n, a[1] / n, a[2] / n)
+
+
+def inertia_dot(J: InertiaTensor, v: Vec3) -> Vec3:
+    """``J v`` from the tensor's rows."""
+    (a, b, c), (d, e, f), (g, h, i) = J.rows
+    return Vec3(a * v[0] + b * v[1] + c * v[2],
+                d * v[0] + e * v[1] + f * v[2],
+                g * v[0] + h * v[1] + i * v[2])
 
 
 def quat_multiply(a: Quat, b: Quat) -> Quat:
@@ -492,7 +513,7 @@ def srp_torque(geometry: SpacecraftGeometry, env: EnvironmentSample, cg_m: Vec3)
 
 def gravity_gradient_torque(J: InertiaTensor, r_body_m: Vec3) -> Vec3:
     """Gravity-gradient torque ``3 mu / |r|^5 * (r x J r)`` in the body frame."""
-    jr = J.dot(r_body_m)
+    jr = inertia_dot(J, r_body_m)
     r = vnorm(r_body_m)
     scale = 3.0 * _C.mu_m3s2 / r**5
     c = vcross(r_body_m, jr)

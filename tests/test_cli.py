@@ -11,8 +11,9 @@ import pytest
 
 import adcslab
 from adcslab.cli import build_parser, main
-from adcslab.harness import TELEMETRY_COLUMNS
+from adcslab.harness import TELEMETRY_COLUMNS, Scenario, run_scenario
 from adcslab.massmodel import bundled_catalog, sample_regolith
+from adcslab.svgplot import render_plot
 
 SPIN = ["simulate", "--mode", "spin", "--quiet"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -221,6 +222,14 @@ def test_plot_writes_valid_svg(tmp_path):
     root = ET.parse(tmp_path / "run.svg").getroot()
     assert root.tag.endswith("svg")
     assert len(list(root.iter())) > 10
+
+
+def test_plot_title_is_escaped():
+    tel, _ = run_scenario(Scenario(mode="safe", duration_s=1.0))
+    svg = render_plot(tel, title='R&D <spin> "a"')
+    assert '>R&amp;D &lt;spin&gt; "a"</text>' in svg
+    titles = [e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
+    assert 'R&D <spin> "a"' in titles
 
 
 def test_disturbance_toggle_flags_parse():
@@ -435,6 +444,25 @@ def test_parser_defaults():
     assert args.out == "telemetry.csv" and args.mode is None
     args = build_parser().parse_args(["montecarlo"])
     assert args.vary == "regolith" and args.runs == 10
+
+
+# ------------------------------------------------------------- import cost
+
+def test_importing_the_cli_loads_no_network_or_process_modules():
+    """Every command imports ``adcslab.cli``; a fresh interpreter shows
+    what that alone loads.  Worker processes are imported only when a Monte
+    Carlo asks for them."""
+    src = str(Path(adcslab.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    heavy = ("urllib.request", "http.client", "ssl", "email", "multiprocessing",
+             "concurrent.futures.process")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, adcslab.cli; "
+         f"print(','.join(m for m in {heavy!r} if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # ------------------------------------------------------------- hash seed

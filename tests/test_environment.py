@@ -27,10 +27,8 @@ from adcslab.quatmath import (
     Vec3,
     quat_from_euler,
     rotate_orbit_to_body,
-    vcross,
     vdot,
     vnorm,
-    vunit,
 )
 from adcslab.rigidbody import InertiaTensor
 from oracles import (
@@ -44,6 +42,8 @@ from oracles import (
     to_body_reference,
     to_orbit_frame,
     total_disturbance_reference,
+    vcross,
+    vunit,
 )
 
 CFG = OrbitConfig()

@@ -33,6 +33,7 @@ from adcslab.massmodel import (
     sample_regolith,
 )
 from adcslab.quatmath import RPM_TO_RADPS, Quat, Vec3, quat_from_euler, vnorm
+from adcslab.rigidbody import NonFiniteStateError
 
 PERIOD = orbit_period(OrbitConfig())
 
@@ -231,6 +232,17 @@ def test_divergence_reports_step_and_time():
         run_scenario(s)
     except DivergenceError as e:
         assert e.step >= 0 and e.t >= 0.0
+
+
+def test_a_kernel_divergence_after_step_0_reports_its_step_time_and_cause():
+    """Gains near the float range throw the state out of the finite domain
+    inside propagate on the second step; the error names that step's start."""
+    s = Scenario(mode="detumble", gains=Gains(kp=1e306, kd=1e306),
+                 limits=ActuatorLimits(max_magnetic_torque_nm=1e308), duration_s=30.0)
+    with pytest.raises(DivergenceError, match=r"from t=0\.1s") as exc:
+        run_scenario(s)
+    assert (exc.value.step, exc.value.t, exc.value.mode) == (1, 0.1, "detumble")
+    assert isinstance(exc.value.__cause__, NonFiniteStateError)
 
 
 def test_the_loop_clock_is_the_step_count_times_dt():
@@ -623,3 +635,15 @@ def test_default_scenario_overrides_win():
 
 def test_default_limits_carry_the_rod_authority():
     assert default_limits().max_magnetic_torque_nm == 2.2e-6
+
+
+@pytest.mark.parametrize("mode", ["spin", "despin"])
+def test_physical_runs_do_not_read_the_magnetic_torque_limit(mode):
+    """Physical allocation clamps the dipole, so the rods' torque authority
+    in default_limits() changes nothing against ActuatorLimits()."""
+    hardware = run_scenario(default_scenario(mode, fidelity=Fidelity.PHYSICAL))
+    rods = run_scenario(default_scenario(mode, fidelity=Fidelity.PHYSICAL,
+                                         limits=default_limits()))
+    assert default_limits() != ActuatorLimits()
+    assert rods[1] == hardware[1]
+    assert rods[0].rows == hardware[0].rows

@@ -16,10 +16,8 @@ from adcslab.quatmath import (
     quat_norm,
     quat_to_euler,
     rotate_orbit_to_body,
-    vcross,
     vdot,
     vnorm,
-    vunit,
 )
 from oracles import (
     quat_conjugate,
@@ -27,7 +25,9 @@ from oracles import (
     quat_from_axis_angle,
     quat_multiply,
     rotate_body_to_orbit,
+    vcross,
     vsub,
+    vunit,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)

@@ -13,11 +13,16 @@ The controller family is deliberately simple and gain-driven:
 * spin / de-spin: the x-axis reaction wheel tracks the commanded spin rate
   while the magnetorquers damp the transverse rates,
 
-      tau_rw = -K1 * omega_e.x        tau_m = -K2 * (0, omega_e.y, omega_e.z)
+      tau_rw = -K1 * (omega.x - target)     tau_m = -K2 * (0, omega.y, omega.z)
+
+  (the target is the spin rate, or 0.0 to de-spin).
 
 The pointing target is the orbit frame, so the quaternion error is the
-vector part of the sign-canonicalized attitude quaternion itself;
-:func:`error_state` forms it with the rate error against the spin target.
+vector part of the sign-canonicalized attitude quaternion itself.
+:func:`error_state` forms it with the rate error against a target rate; both
+laws read the state directly and match it bit for bit.  The laws and
+actuator models run every step and return plain tuples, unpacked by
+position; each docstring gives the order.
 
 Magnetorquer allocation runs at two fidelities: IDEAL treats the commanded
 torque as directly realizable up to a per-axis clamp; PHYSICAL converts it to
@@ -33,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple
 
 from .quatmath import ZERO3, Quat, Vec3, visfinite, vnorm
 
@@ -42,9 +46,6 @@ __all__ = [
     "ActuatorLimits",
     "Fidelity",
     "Mode",
-    "ErrorState",
-    "TorqueCommand",
-    "WheelStep",
     "ModeThresholds",
     "ZeroFieldError",
     "error_state",
@@ -56,6 +57,9 @@ __all__ = [
     "total_control",
     "ALLOWED_TRANSITIONS",
 ]
+
+
+_Floats3 = tuple[float, float, float]
 
 
 class ZeroFieldError(ValueError):
@@ -132,23 +136,6 @@ ALLOWED_TRANSITIONS: dict[Mode, frozenset[Mode]] = {
 }
 
 
-class ErrorState(NamedTuple):
-    q_e_vec: Vec3   # vector part of the attitude quaternion
-    omega_e: Vec3   # rad/s rate error
-
-
-class TorqueCommand(NamedTuple):
-    tau_m: Vec3              # magnetic torque actually applied, N*m
-    dipole: Vec3             # commanded dipole, A*m^2 (zero in IDEAL mode)
-    magnetic_saturated: bool
-
-
-class WheelStep(NamedTuple):
-    tau_applied: float
-    momentum: float
-    saturated: bool
-
-
 @dataclass(frozen=True, slots=True)
 class ModeThresholds:
     """Rate magnitudes (rad/s) below which de-tumble and de-spin hand over to
@@ -161,20 +148,19 @@ class ModeThresholds:
         _check_positive_finite(self, "threshold")
 
 
-def error_state(q: Quat, omega: Vec3, omega_d: Vec3) -> ErrorState:
-    """Attitude error relative to the orbit frame and rate error.
+def error_state(q: Quat, omega: Vec3, omega_d: Vec3) -> tuple[_Floats3, _Floats3]:
+    """``(q_vec, omega_e)``: the attitude error relative to the orbit frame
+    and the rate error ``omega - omega_d``.
 
     ``q`` is the body attitude relative to the orbit frame, expected
     sign-canonicalized (q0 >= 0); its vector part is the attitude error.
     """
-    return ErrorState(Vec3(q[1], q[2], q[3]),
-                      Vec3(omega[0] - omega_d[0],
-                           omega[1] - omega_d[1],
-                           omega[2] - omega_d[2]))
+    return ((q[1], q[2], q[3]),
+            (omega[0] - omega_d[0], omega[1] - omega_d[1], omega[2] - omega_d[2]))
 
 
-def pd_torque(q: Quat, omega: Vec3, gains: Gains) -> Vec3:
-    """Attitude PD law used by the de-tumble and nominal modes.
+def pd_torque(q: Quat, omega: Vec3, gains: Gains) -> _Floats3:
+    """Attitude PD law used by the de-tumble and nominal modes: ``(tx, ty, tz)``.
 
     ``q`` (sign-canonicalized, relative to the orbit frame) and ``omega`` are
     the state itself: toward the orbit frame at rest, the attitude error is
@@ -182,16 +168,22 @@ def pd_torque(q: Quat, omega: Vec3, gains: Gains) -> Vec3:
     ``error_state(q, omega, ZERO3)`` pair (``w - 0.0`` is ``w``, -0.0 too).
     """
     kp, kd = gains.kp, gains.kd
-    return Vec3(-kp * q[1] - kd * omega[0],
-                -kp * q[2] - kd * omega[1],
-                -kp * q[3] - kd * omega[2])
+    return (-kp * q[1] - kd * omega[0],
+            -kp * q[2] - kd * omega[1],
+            -kp * q[3] - kd * omega[2])
 
 
-def spin_torques(err: ErrorState, gains: Gains) -> tuple[float, Vec3]:
-    """Spin / de-spin laws: wheel torque about x, magnetic damping on y/z."""
-    tau_rw = -gains.k1 * err.omega_e[0]
-    tau_m = Vec3(0.0, -gains.k2 * err.omega_e[1], -gains.k2 * err.omega_e[2])
-    return tau_rw, tau_m
+def spin_torques(omega: Vec3, omega_x_target: float,
+                 gains: Gains) -> tuple[float, _Floats3]:
+    """Spin / de-spin laws: ``(tau_rw, (0.0, ty, tz))``, the wheel torque
+    about x and the magnetic damping on y/z.
+
+    The rate error is bit for bit ``error_state``'s against
+    ``(omega_x_target, 0.0, 0.0)``; the attitude does not enter.
+    """
+    k2 = gains.k2
+    return (-gains.k1 * (omega[0] - omega_x_target),
+            (0.0, -k2 * omega[1], -k2 * omega[2]))
 
 
 def _clamp(v: float, limit: float) -> float:
@@ -207,7 +199,7 @@ def allocate_magnetorquer(
     b_body: Vec3,
     limits: ActuatorLimits,
     fidelity: Fidelity = Fidelity.IDEAL,
-) -> TorqueCommand:
+) -> tuple[_Floats3, _Floats3, bool]:
     """Map a desired magnetic torque onto the magnetorquers.
 
     Args:
@@ -220,7 +212,9 @@ def allocate_magnetorquer(
             orthogonal to the field.
 
     Returns:
-        TorqueCommand with the applied torque, the dipole, and the saturation flag.
+        ``(tau_m, dipole, saturated)``: the applied torque (N*m), the
+        commanded dipole (A*m^2; the shared ``ZERO3`` in IDEAL mode), and
+        whether a clamp cut the command.
 
     Raises:
         ZeroFieldError: PHYSICAL allocation with |B| = 0.
@@ -228,11 +222,11 @@ def allocate_magnetorquer(
     if fidelity is Fidelity.IDEAL:
         lim = limits.max_magnetic_torque_nm
         x, y, z = tau_desired
-        tau = Vec3(lim if x > lim else -lim if x < -lim else x,
-                   lim if y > lim else -lim if y < -lim else y,
-                   lim if z > lim else -lim if z < -lim else z)
+        tau = (lim if x > lim else -lim if x < -lim else x,
+               lim if y > lim else -lim if y < -lim else y,
+               lim if z > lim else -lim if z < -lim else z)
         saturated = x > lim or x < -lim or y > lim or y < -lim or z > lim or z < -lim
-        return TorqueCommand(tau, ZERO3, saturated)
+        return tau, ZERO3, saturated
 
     bx, by, bz = b_body
     b2 = bx * bx + by * by + bz * bz
@@ -244,15 +238,15 @@ def allocate_magnetorquer(
     mz = (bx * tau_desired[1] - by * tau_desired[0]) / b2
     lim = limits.max_dipole_am2
     cmx, cmy, cmz = _clamp(mx, lim), _clamp(my, lim), _clamp(mz, lim)
-    saturated = (cmx, cmy, cmz) != (mx, my, mz)
-    dipole = Vec3(cmx, cmy, cmz)
-    tau = Vec3(cmy * bz - cmz * by, cmz * bx - cmx * bz, cmx * by - cmy * bx)
-    return TorqueCommand(tau, dipole, saturated)
+    dipole = (cmx, cmy, cmz)
+    tau = (cmy * bz - cmz * by, cmz * bx - cmx * bz, cmx * by - cmy * bx)
+    return tau, dipole, dipole != (mx, my, mz)
 
 
 def wheel_step(tau_commanded: float, momentum: float, limits: ActuatorLimits,
-               dt: float) -> WheelStep:
-    """Apply one control interval of wheel torque with momentum bookkeeping.
+               dt: float) -> tuple[float, float, bool]:
+    """Apply one control interval of wheel torque with momentum bookkeeping:
+    ``(tau_applied, momentum, saturated)``.
 
     The torque is clamped to the wheel's torque limit, then further reduced if
     integrating it for ``dt`` would push the stored momentum past the momentum
@@ -272,7 +266,7 @@ def wheel_step(tau_commanded: float, momentum: float, limits: ActuatorLimits,
         tau = (-h_lim - momentum) / dt
         h_next = -h_lim
         saturated = True
-    return WheelStep(tau, h_next, saturated)
+    return tau, h_next, saturated
 
 
 def mode_transition(

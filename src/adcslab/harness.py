@@ -43,7 +43,6 @@ from .control import (
     Mode,
     ModeThresholds,
     allocate_magnetorquer,
-    error_state,
     mode_transition,
     pd_torque,
     spin_torques,
@@ -205,6 +204,8 @@ class Scenario:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.regolith_policy == "fixed" and self.regolith_fixed_cm is None:
             raise ValueError("regolith policy 'fixed' needs regolith_fixed_cm")
+        if self.seed is not None and not _is_seed(self.seed):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed!r}")
         if self.regolith_policy == "sampled" and self.seed is None:
             raise ValueError("regolith policy 'sampled' needs a seed")
         self.placed_catalog()  # raises where the regolith cannot go
@@ -270,9 +271,10 @@ class Scenario:
             raise ValueError(f"dt={self.dt_s} s exceeds the run duration {duration} s")
         return duration
 
-    def resolved_cadence_s(self, duration_s: float) -> float:
-        """Seconds between telemetry rows, as recorded."""
-        return self.dt_s * _telemetry_steps(self, duration_s)
+
+def _is_seed(v) -> bool:
+    """A non-negative integer other than a bool: what numpy's generators take."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
 
 
 def _telemetry_steps(s: Scenario, duration_s: float) -> int:
@@ -519,7 +521,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     fidelity = s.fidelity
     physical = fidelity is Fidelity.PHYSICAL
     include = (s.enable_drag, s.enable_srp, s.enable_gravity_gradient)
-    spin_omega = Vec3(s.spin_target_rpm * RPM_TO_RADPS, 0.0, 0.0)
+    spin_radps = s.spin_target_rpm * RPM_TO_RADPS
 
     conops = s.mode == "conops"
     mode = Mode.DETUMBLE if conops else Mode(s.mode)
@@ -539,8 +541,8 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     max_tau_b = 0.0
     metrics = _Metrics(s)
 
-    def record(t: float, q: Quat, omega: Vec3, hw: float, tau_m: Vec3, tau_rw: float,
-               m: Mode) -> None:
+    def record(t: float, q: Quat, omega: Vec3, hw: float,
+               tau_m: tuple[float, float, float], tau_rw: float, m: Mode) -> None:
         euler = quat_to_euler(q)
         metrics.add(t, q, omega, euler)
         if telemetry:  # the one place that knows the TELEMETRY_COLUMNS order
@@ -567,18 +569,16 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         else:
             wheel = mode is Mode.SPIN or mode is Mode.DESPIN
             if wheel:
-                err = error_state(q, omega, spin_omega if mode is Mode.SPIN else ZERO3)
-                tau_rw_cmd, tau_m_des = spin_torques(err, gains)
+                tau_rw_cmd, tau_m_des = spin_torques(
+                    omega, spin_radps if mode is Mode.SPIN else 0.0, gains)
             else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
                 tau_m_des = pd_torque(q, omega, gains)
-            cmd = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
-            tau_m = cmd.tau_m
-            if cmd.magnetic_saturated:
+            tau_m, _, saturated = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
+            if saturated:
                 mag_sat += 1
             if wheel:
-                ws = wheel_step(tau_rw_cmd, hw, limits, dt)
-                tau_rw, hw_next = ws.tau_applied, ws.momentum
-                if ws.saturated:
+                tau_rw, hw_next, saturated = wheel_step(tau_rw_cmd, hw, limits, dt)
+                if saturated:
                     wheel_sat += 1
 
         if abs(hw_next) > max_hw:
@@ -761,6 +761,8 @@ def monte_carlo(
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not _is_seed(seed):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     vary = tuple(vary)
     for v in vary:
         if v not in ("regolith", "omega"):

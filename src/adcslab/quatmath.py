@@ -2,7 +2,8 @@
 
 Conventions
 -----------
-* 3-vectors are ``Vec3`` named tuples; units are contextual (rad/s, N*m, m, ...).
+* ``Vec3`` and ``Quat`` type the inputs and results; the control laws return
+  plain tuples, which compare equal to them.  Units are contextual.
 * Quaternions are scalar-first ``Quat(q0, q1, q2, q3)``.  A state quaternion
   encodes the attitude of the body frame relative to the orbit frame through
   the standard Hamilton rotation matrix ``R(q)``::

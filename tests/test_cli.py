@@ -402,6 +402,15 @@ def test_montecarlo_flag_validation(capsys):
     assert main(MC + ["--omega-range", "1", "--vary", "omega", "--out", "mc.csv"]) == 1
 
 
+def test_montecarlo_rejects_a_negative_seed(tmp_path, capsys):
+    """The seed is checked when the scenario is built, and the error names it."""
+    argv = ["montecarlo", "--mode", "spin", "--runs", "2", "--seed", "-1", "--quiet"]
+    assert main(argv + ["--out", "mc.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert not (tmp_path / "mc.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--omega-range", "1,2"],                                  # without --vary omega
     ["--vary", "omega", "--omega-range", "nan,1"],

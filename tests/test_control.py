@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from adcslab.control import (
     ALLOWED_TRANSITIONS,
     ActuatorLimits,
-    ErrorState,
     Fidelity,
     Gains,
     Mode,
@@ -37,10 +36,6 @@ fields = st.builds(Vec3,
                    st.floats(-5e-5, 5e-5)).filter(lambda b: vnorm(b) > 1e-6)
 
 
-def _err(q_e=Vec3(0.0, 0.0, 0.0), w_e=Vec3(0.0, 0.0, 0.0)):
-    return ErrorState(q_e, w_e)
-
-
 # ------------------------------------------------------------- configuration
 
 def test_gains_must_be_positive_and_finite():
@@ -68,9 +63,9 @@ def test_thresholds_must_be_positive_and_finite():
 
 def test_additive_error_is_component_difference():
     q = quat_from_axis_angle(Vec3(1.0, 0.0, 0.0), 0.2)
-    err = error_state(q, Vec3(0.01, 0.0, -0.02), Vec3(0.0, 0.0, 0.0))
-    assert err.q_e_vec == (q[1], q[2], q[3])
-    assert err.omega_e == Vec3(0.01, 0.0, -0.02)
+    q_e, w_e = error_state(q, Vec3(0.01, 0.0, -0.02), Vec3(0.0, 0.0, 0.0))
+    assert q_e == (q[1], q[2], q[3])
+    assert w_e == Vec3(0.01, 0.0, -0.02)
 
 
 # ------------------------------------------------------------- PD law
@@ -97,7 +92,7 @@ def test_pd_is_linear(qa, wa, qb, wb):
                      Vec3(wa.x + wb.x, wa.y + wb.y, wa.z + wb.z), GAINS)
     a = pd_torque(_q(qa), wa, GAINS)
     b = pd_torque(_q(qb), wb, GAINS)
-    assert both == pytest.approx((a.x + b.x, a.y + b.y, a.z + b.z), rel=1e-9, abs=1e-20)
+    assert both == pytest.approx((a[0] + b[0], a[1] + b[1], a[2] + b[2]), rel=1e-9, abs=1e-20)
 
 
 signed = st.floats(-1e-3, 1e-3) | st.sampled_from([0.0, -0.0])
@@ -108,8 +103,8 @@ signed = st.floats(-1e-3, 1e-3) | st.sampled_from([0.0, -0.0])
 def test_pd_reads_the_error_state_toward_the_orbit_frame_bit_for_bit(q, w):
     """The state is its own error toward the orbit frame at rest: the law
     matches the error_state form exactly, the signs of zeros included."""
-    err = error_state(q, w, Vec3(0.0, 0.0, 0.0))
-    want = tuple(-GAINS.kp * e - GAINS.kd * r for e, r in zip(err.q_e_vec, err.omega_e))
+    q_e, w_e = error_state(q, w, Vec3(0.0, 0.0, 0.0))
+    want = tuple(-GAINS.kp * e - GAINS.kd * r for e, r in zip(q_e, w_e))
     got = pd_torque(q, w, GAINS)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -118,45 +113,52 @@ def test_pd_reads_the_error_state_toward_the_orbit_frame_bit_for_bit(q, w):
 
 def test_spin_up_wheel_torque_hand_value():
     """Tracking 1 RPM from rest: tau_rw = k1 * 2*pi/60 = 7.33e-4 N*m."""
-    err = error_state(IDENTITY, Vec3(0.0, 0.0, 0.0), Vec3(RPM_TO_RADPS, 0.0, 0.0))
-    tau_rw, tau_m = spin_torques(err, GAINS)
+    tau_rw, tau_m = spin_torques(Vec3(0.0, 0.0, 0.0), RPM_TO_RADPS, GAINS)
     assert tau_rw == pytest.approx(7e-3 * RPM_TO_RADPS, rel=1e-12)
     assert tau_rw == pytest.approx(7.33e-4, rel=1e-3)
     assert tau_m == Vec3(0.0, 0.0, 0.0)
 
 
 def test_transverse_damping_hand_value():
-    _, tau_m = spin_torques(_err(w_e=Vec3(0.0, 0.01, -0.02)), GAINS)
+    _, tau_m = spin_torques(Vec3(0.0, 0.01, -0.02), 0.0, GAINS)
     assert tau_m == pytest.approx((0.0, -7e-6, 1.4e-5), rel=1e-12)
 
 
-def test_spin_laws_ignore_attitude_error():
-    tau_rw, tau_m = spin_torques(_err(q_e=Vec3(0.5, -0.5, 0.2)), GAINS)
-    assert tau_rw == 0.0
-    assert tau_m == Vec3(0.0, 0.0, 0.0)
+@given(st.builds(Quat, signed, signed, signed, signed),
+       st.builds(Vec3, signed, signed, signed),
+       st.sampled_from([RPM_TO_RADPS, 0.0]))
+def test_spin_laws_read_the_error_state_bit_for_bit(q, w, target):
+    """The spin laws match the error_state form against the x-axis target
+    exactly, the signs of zeros included; the attitude does not enter."""
+    _, w_e = error_state(q, w, Vec3(target, 0.0, 0.0))
+    tau_rw, (tx, ty, tz) = spin_torques(w, target, GAINS)
+    want = (-GAINS.k1 * w_e[0], 0.0, -GAINS.k2 * w_e[1], -GAINS.k2 * w_e[2])
+    assert [x.hex() for x in (tau_rw, tx, ty, tz)] == [x.hex() for x in want]
 
 
 # ------------------------------------------------------------- ideal allocation
 
 def test_ideal_allocation_passes_small_commands_through():
     tau = Vec3(2e-6, -3e-6, 1e-6)
-    cmd = allocate_magnetorquer(tau, Vec3(0.0, 0.0, 0.0), LIMITS, Fidelity.IDEAL)
-    assert cmd.tau_m == tau
-    assert cmd.dipole == Vec3(0.0, 0.0, 0.0)
-    assert not cmd.magnetic_saturated
+    tau_m, dipole, saturated = allocate_magnetorquer(tau, Vec3(0.0, 0.0, 0.0), LIMITS,
+                                                     Fidelity.IDEAL)
+    assert tau_m == tau
+    assert dipole == Vec3(0.0, 0.0, 0.0)
+    assert not saturated
 
 
 def test_ideal_allocation_clamps_per_axis():
-    cmd = allocate_magnetorquer(Vec3(2e-5, -3e-5, 4e-6), Vec3(0.0, 0.0, 0.0), LIMITS)
-    assert cmd.tau_m == Vec3(1e-5, -1e-5, 4e-6)
-    assert cmd.magnetic_saturated
+    tau_m, _, saturated = allocate_magnetorquer(Vec3(2e-5, -3e-5, 4e-6), Vec3(0.0, 0.0, 0.0),
+                                                LIMITS)
+    assert tau_m == Vec3(1e-5, -1e-5, 4e-6)
+    assert saturated
 
 
 def test_ideal_allocation_at_the_limit_is_not_saturated():
     lim = LIMITS.max_magnetic_torque_nm
-    cmd = allocate_magnetorquer(Vec3(lim, -lim, 0.0), Vec3(0.0, 0.0, 0.0), LIMITS)
-    assert cmd.tau_m == Vec3(lim, -lim, 0.0)
-    assert not cmd.magnetic_saturated
+    tau_m, _, saturated = allocate_magnetorquer(Vec3(lim, -lim, 0.0), Vec3(0.0, 0.0, 0.0), LIMITS)
+    assert tau_m == Vec3(lim, -lim, 0.0)
+    assert not saturated
 
 
 torques = st.floats(-3e-5, 3e-5) | st.sampled_from([0.0, -0.0, 1e-5, -1e-5])
@@ -166,10 +168,11 @@ torques = st.floats(-3e-5, 3e-5) | st.sampled_from([0.0, -0.0, 1e-5, -1e-5])
 def test_ideal_allocation_is_the_per_axis_clamp_bit_for_bit(tau):
     lim = LIMITS.max_magnetic_torque_nm
     want = [min(max(x, -lim), lim) for x in tau]
-    cmd = allocate_magnetorquer(tau, Vec3(0.0, 0.0, 0.0), LIMITS, Fidelity.IDEAL)
-    assert [x.hex() for x in cmd.tau_m] == [x.hex() for x in want]
-    assert type(cmd.tau_m) is Vec3 and cmd.dipole == Vec3(0.0, 0.0, 0.0)
-    assert cmd.magnetic_saturated == any(abs(x) > lim for x in tau)
+    tau_m, dipole, saturated = allocate_magnetorquer(tau, Vec3(0.0, 0.0, 0.0), LIMITS,
+                                                     Fidelity.IDEAL)
+    assert [x.hex() for x in tau_m] == [x.hex() for x in want]
+    assert type(tau_m) is tuple and dipole == Vec3(0.0, 0.0, 0.0)
+    assert saturated == any(abs(x) > lim for x in tau)
 
 
 # ------------------------------------------------------------- physical allocation
@@ -179,31 +182,31 @@ B_LEO = Vec3(2.1e-5, -3.3e-5, 1.2e-5)
 
 def test_physical_allocation_cannot_push_along_the_field():
     tau_desired = Vec3(B_LEO.x * 0.02, B_LEO.y * 0.02, B_LEO.z * 0.02)
-    cmd = allocate_magnetorquer(tau_desired, B_LEO, LIMITS, Fidelity.PHYSICAL)
-    assert vnorm(cmd.tau_m) < 1e-12 * vnorm(tau_desired)
+    tau_m, _, _ = allocate_magnetorquer(tau_desired, B_LEO, LIMITS, Fidelity.PHYSICAL)
+    assert vnorm(tau_m) < 1e-12 * vnorm(tau_desired)
 
 
 def test_physical_allocation_recovers_perpendicular_commands():
     tau_desired = vcross(B_LEO, Vec3(0.0, 0.0, 1.0))
     tau_desired = Vec3(tau_desired.x * 0.05, tau_desired.y * 0.05, tau_desired.z * 0.05)
-    cmd = allocate_magnetorquer(tau_desired, B_LEO, LIMITS, Fidelity.PHYSICAL)
-    assert cmd.tau_m == pytest.approx(tau_desired, rel=1e-12)
-    assert not cmd.magnetic_saturated
+    tau_m, _, saturated = allocate_magnetorquer(tau_desired, B_LEO, LIMITS, Fidelity.PHYSICAL)
+    assert tau_m == pytest.approx(tau_desired, rel=1e-12)
+    assert not saturated
 
 
 @given(vec3s, fields)
 def test_applied_torque_always_orthogonal_to_field(tau_desired, b):
-    cmd = allocate_magnetorquer(tau_desired, b, LIMITS, Fidelity.PHYSICAL)
-    tol = 1e-12 * vnorm(cmd.tau_m) * vnorm(b) + 1e-30
-    assert abs(vdot(cmd.tau_m, b)) < tol
+    tau_m, _, _ = allocate_magnetorquer(tau_desired, b, LIMITS, Fidelity.PHYSICAL)
+    tol = 1e-12 * vnorm(tau_m) * vnorm(b) + 1e-30
+    assert abs(vdot(tau_m, b)) < tol
 
 
 def test_dipole_clamp_keeps_orthogonality():
     huge = Vec3(1.0, -2.0, 0.5)
-    cmd = allocate_magnetorquer(huge, B_LEO, LIMITS, Fidelity.PHYSICAL)
-    assert cmd.magnetic_saturated
-    assert max(abs(c) for c in cmd.dipole) == LIMITS.max_dipole_am2
-    assert abs(vdot(cmd.tau_m, B_LEO)) < 1e-12 * vnorm(cmd.tau_m) * vnorm(B_LEO)
+    tau_m, dipole, saturated = allocate_magnetorquer(huge, B_LEO, LIMITS, Fidelity.PHYSICAL)
+    assert saturated
+    assert max(abs(c) for c in dipole) == LIMITS.max_dipole_am2
+    assert abs(vdot(tau_m, B_LEO)) < 1e-12 * vnorm(tau_m) * vnorm(B_LEO)
 
 
 def test_physical_allocation_requires_a_field():
@@ -218,38 +221,37 @@ def test_wheel_integrates_torque_into_momentum():
     """1e-3 N*m held for 10 s stores exactly the 1e-2 N*m*s capacity."""
     h = 0.0
     for _ in range(10):
-        step = wheel_step(1e-3, h, LIMITS, dt=1.0)
-        h = step.momentum
+        _, h, _ = wheel_step(1e-3, h, LIMITS, dt=1.0)
     assert h == pytest.approx(1e-2, rel=1e-12)
 
 
 def test_wheel_rides_the_momentum_stop():
-    step = wheel_step(1e-3, LIMITS.max_wheel_momentum_nms, LIMITS, dt=1.0)
-    assert step.tau_applied == 0.0
-    assert step.momentum == LIMITS.max_wheel_momentum_nms
-    assert step.saturated
+    tau, h, saturated = wheel_step(1e-3, LIMITS.max_wheel_momentum_nms, LIMITS, dt=1.0)
+    assert tau == 0.0
+    assert h == LIMITS.max_wheel_momentum_nms
+    assert saturated
 
 
 def test_wheel_torque_clamp():
-    step = wheel_step(2.5e-3, 0.0, LIMITS, dt=0.1)
-    assert step.tau_applied == LIMITS.max_wheel_torque_nm
-    assert step.saturated
+    tau, _, saturated = wheel_step(2.5e-3, 0.0, LIMITS, dt=0.1)
+    assert tau == LIMITS.max_wheel_torque_nm
+    assert saturated
 
 
 def test_wheel_partial_step_onto_the_stop():
     """Half a step from the stop: torque is cut so momentum lands exactly on it."""
     h0 = LIMITS.max_wheel_momentum_nms - 5e-5
-    step = wheel_step(1e-3, h0, LIMITS, dt=0.1)
-    assert step.momentum == LIMITS.max_wheel_momentum_nms
-    assert step.tau_applied == pytest.approx(5e-4, rel=1e-9)
-    assert step.saturated
+    tau, h, saturated = wheel_step(1e-3, h0, LIMITS, dt=0.1)
+    assert h == LIMITS.max_wheel_momentum_nms
+    assert tau == pytest.approx(5e-4, rel=1e-9)
+    assert saturated
 
 
 def test_wheel_negative_side_is_symmetric():
-    step = wheel_step(-1e-3, -LIMITS.max_wheel_momentum_nms, LIMITS, dt=1.0)
-    assert step.tau_applied == 0.0
-    assert step.momentum == -LIMITS.max_wheel_momentum_nms
-    assert step.saturated
+    tau, h, saturated = wheel_step(-1e-3, -LIMITS.max_wheel_momentum_nms, LIMITS, dt=1.0)
+    assert tau == 0.0
+    assert h == -LIMITS.max_wheel_momentum_nms
+    assert saturated
 
 
 def test_wheel_rejects_bad_dt():
@@ -263,10 +265,9 @@ def test_wheel_rejects_bad_dt():
 def test_wheel_momentum_never_leaves_the_envelope(h0, commands):
     h = h0
     for cmd in commands:
-        step = wheel_step(cmd, h, LIMITS, dt=0.5)
-        h = step.momentum
+        tau, h, _ = wheel_step(cmd, h, LIMITS, dt=0.5)
         assert abs(h) <= LIMITS.max_wheel_momentum_nms
-        assert abs(step.tau_applied) <= LIMITS.max_wheel_torque_nm
+        assert abs(tau) <= LIMITS.max_wheel_torque_nm
 
 
 # ------------------------------------------------------------- mode machine

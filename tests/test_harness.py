@@ -18,6 +18,7 @@ from adcslab.harness import (
     RunResult,
     Scenario,
     _Metrics,
+    _telemetry_steps,
     assemble,
     default_limits,
     default_scenario,
@@ -88,6 +89,9 @@ def _sample(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0))
     dict(telemetry_cadence_s=0.05),                     # shorter than a step
     dict(env_update_every_s=0.15),                      # not a whole number of steps
     dict(env_update_every_s=0.05),                      # shorter than a step
+    dict(seed=-1),
+    dict(seed=2.5),
+    dict(seed=True),
 ])
 def test_scenario_rejects_bad_inputs(bad):
     with pytest.raises(ValueError):
@@ -108,14 +112,14 @@ def test_dt_longer_than_run_is_rejected():
 
 def test_telemetry_cadence_rules():
     s = Scenario(duration_s=60.0)
-    assert s.resolved_cadence_s(60.0) == s.dt_s          # short run: every step
-    assert s.resolved_cadence_s(600.0) == 1.0            # long run: 1 Hz
+    assert _telemetry_steps(s, 60.0) * s.dt_s == s.dt_s     # short run: every step
+    assert _telemetry_steps(s, 600.0) * s.dt_s == 1.0       # long run: 1 Hz
     explicit = Scenario(duration_s=60.0, telemetry_cadence_s=0.5)
-    assert explicit.resolved_cadence_s(600.0) == 0.5
+    assert _telemetry_steps(explicit, 600.0) * explicit.dt_s == 0.5
     coarse = Scenario(mode="safe", dt_s=0.3, duration_s=300.0)  # 1 s rounds to 3 steps
     t = run_scenario(coarse)[0].column("t_s")
-    assert coarse.resolved_cadence_s(300.0) == pytest.approx(t[1] - t[0], rel=1e-12)
-    assert coarse.resolved_cadence_s(300.0) == pytest.approx(0.9, rel=1e-12)
+    assert _telemetry_steps(coarse, 300.0) * coarse.dt_s == pytest.approx(t[1] - t[0], rel=1e-12)
+    assert t[1] - t[0] == pytest.approx(0.9, rel=1e-12)
 
 
 # ------------------------------------------------------------- assembly
@@ -437,6 +441,8 @@ def test_monte_carlo_validates_inputs():
         monte_carlo(base, 2, seed=1, vary=("mass",))
     with pytest.raises(ValueError):
         monte_carlo(base, 2, seed=1, vary=("omega",))            # missing range
+    with pytest.raises(ValueError, match="seed"):
+        monte_carlo(base, 2, seed=-1)
 
 
 @pytest.mark.parametrize("vary, omega_rpm_range", [

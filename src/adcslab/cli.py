@@ -195,10 +195,10 @@ def _scenario(args) -> Scenario:
     sim = data["sim"]
     if isinstance(sim, dict) and "seed" not in sim and "ADCSLAB_SEED" in os.environ:
         raw = os.environ["ADCSLAB_SEED"]
-        try:
-            sim["seed"] = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"ADCSLAB_SEED must be an integer, got {raw!r}") from exc
+        if not (raw.isascii() and raw.isdigit()):  # int() takes " 7 ", "1_000" and "-4"
+            raise ConfigError(f"ADCSLAB_SEED must be a non-negative integer written in "
+                              f"digits only, got {raw!r}")
+        sim["seed"] = int(raw)
     return scenario_from_dict(data, config_dir=Path(args.config).parent if args.config else None)
 
 

@@ -119,6 +119,9 @@ class Fidelity(Enum):
     PHYSICAL = "physical"
 
 
+_IDEAL = Fidelity.IDEAL  # a module global reads faster than an enum member
+
+
 class Mode(Enum):
     DETUMBLE = "detumble"
     NOMINAL = "nominal"
@@ -219,14 +222,15 @@ def allocate_magnetorquer(
     Raises:
         ZeroFieldError: PHYSICAL allocation with |B| = 0.
     """
-    if fidelity is Fidelity.IDEAL:
+    if fidelity is _IDEAL:
         lim = limits.max_magnetic_torque_nm
         x, y, z = tau_desired
         tau = (lim if x > lim else -lim if x < -lim else x,
                lim if y > lim else -lim if y < -lim else y,
                lim if z > lim else -lim if z < -lim else z)
-        saturated = x > lim or x < -lim or y > lim or y < -lim or z > lim or z < -lim
-        return tau, ZERO3, saturated
+        # An unclamped axis keeps x itself, which a tuple compares by
+        # identity first, so this is the six limit tests, NaN included.
+        return tau, ZERO3, tau != (x, y, z)
 
     bx, by, bz = b_body
     b2 = bx * bx + by * by + bz * bz

@@ -42,6 +42,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from math import cos, sin, sqrt
 from typing import NamedTuple
 
 from .quatmath import Quat, Vec3, visfinite, vnorm
@@ -202,7 +203,7 @@ def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
     """Two-body circular orbit state at time ``t`` seconds."""
     a, n, u0, px, py, pz, qx, qy, qz, speed, _, _, _, _ = cfg.kernel
     u = u0 + n * t
-    cu, su = math.cos(u), math.sin(u)
+    cu, su = cos(u), sin(u)
     rx = a * (cu * px + su * qx)
     ry = a * (cu * py + su * qy)
     rz = a * (cu * pz + su * qz)
@@ -210,13 +211,15 @@ def propagate_orbit(cfg: OrbitConfig, t: float) -> OrbitState:
     vy = speed * (-su * py + cu * qy)
     vz = speed * (-su * pz + cu * qz)
     # x along the velocity, z toward the Earth's center, y = z x x.
-    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
+    nv = sqrt(vx * vx + vy * vy + vz * vz)
     xx, xy, xz = vx / nv, vy / nv, vz / nv
-    nr = math.sqrt(-rx * -rx + -ry * -ry + -rz * -rz)
+    nr = sqrt(-rx * -rx + -ry * -ry + -rz * -rz)
     zx, zy, zz = -rx / nr, -ry / nr, -rz / nr
-    return OrbitState(Vec3(rx, ry, rz), Vec3(vx, vy, vz), Vec3(xx, xy, xz),
-                      Vec3(zy * xz - zz * xy, zz * xx - zx * xz, zx * xy - zy * xx),
-                      Vec3(zx, zy, zz), radius_m=a, speed_mps=speed)
+    new = tuple.__new__
+    return new(OrbitState, (
+        new(Vec3, (rx, ry, rz)), new(Vec3, (vx, vy, vz)), new(Vec3, (xx, xy, xz)),
+        new(Vec3, (zy * xz - zz * xy, zz * xx - zx * xz, zx * xy - zy * xx)),
+        new(Vec3, (zx, zy, zz)), a, speed))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,7 @@ def total_disturbance(
     half_cd, coeff_s, two_c_sr, c_dif_3, faces = geometry.kernel
     (sx, sy, sz), in_eclipse, density, (vx, vy, vz), (rx, ry, rz) = env
     cgx, cgy, cgz = cg_m
-    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+    speed = sqrt(vx * vx + vy * vy + vz * vz)
     drag = include[0] and speed != 0.0 and density != 0.0
     srp = include[1] and not in_eclipse
     if drag:
@@ -381,11 +384,11 @@ def total_disturbance(
         jx = a * rx + b * ry + c * rz
         jy = d * rx + e * ry + f * rz
         jz = g * rx + h * ry + i * rz
-        scale = 3.0 * _CONSTANTS.mu_m3s2 / math.sqrt(rx * rx + ry * ry + rz * rz) ** 5
+        scale = 3.0 * _CONSTANTS.mu_m3s2 / sqrt(rx * rx + ry * ry + rz * rz) ** 5
         tx += scale * (ry * jz - rz * jy)
         ty += scale * (rz * jx - rx * jz)
         tz += scale * (rx * jy - ry * jx)
-    return Vec3(tx, ty, tz)
+    return tuple.__new__(Vec3, (tx, ty, tz))
 
 
 class OrbitFrameSample(NamedTuple):
@@ -418,19 +421,20 @@ class OrbitFrameSample(NamedTuple):
         r21 = 2.0 * (q2 * q3 - q0 * q1)
         r22 = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
         _, (sx, sy, sz), in_eclipse, density, (vx, vy, vz), (rx, ry, rz) = self
-        return EnvironmentSample(
-            Vec3(r00 * sx + r01 * sy + r02 * sz,
-                 r10 * sx + r11 * sy + r12 * sz,
-                 r20 * sx + r21 * sy + r22 * sz),
+        new = tuple.__new__
+        return new(EnvironmentSample, (
+            new(Vec3, (r00 * sx + r01 * sy + r02 * sz,
+                       r10 * sx + r11 * sy + r12 * sz,
+                       r20 * sx + r21 * sy + r22 * sz)),
             in_eclipse,
             density,
-            Vec3(r00 * vx + r01 * vy + r02 * vz,
-                 r10 * vx + r11 * vy + r12 * vz,
-                 r20 * vx + r21 * vy + r22 * vz),
-            Vec3(r00 * rx + r01 * ry + r02 * rz,
-                 r10 * rx + r11 * ry + r12 * rz,
-                 r20 * rx + r21 * ry + r22 * rz),
-        )
+            new(Vec3, (r00 * vx + r01 * vy + r02 * vz,
+                       r10 * vx + r11 * vy + r12 * vz,
+                       r20 * vx + r21 * vy + r22 * vz)),
+            new(Vec3, (r00 * rx + r01 * ry + r02 * rz,
+                       r10 * rx + r11 * ry + r12 * rz,
+                       r20 * rx + r21 * ry + r22 * rz)),
+        ))
 
 
 def orbit_frame_sample(
@@ -452,8 +456,8 @@ def orbit_frame_sample(
     (rx, ry, rz), _, (xx, xy, xz), (yx, yy, yz), (zx, zy, zz), _, _ = propagate_orbit(cfg, t)
     _, _, _, _, _, _, _, _, _, _, density, b_scale, v_orbit, r_orbit = cfg.kernel
     tilt = math.radians(dipole_tilt_deg)
-    mx, mz = math.sin(tilt), math.cos(tilt)
-    nr = math.sqrt(rx * rx + ry * ry + rz * rz)
+    mx, mz = sin(tilt), cos(tilt)
+    nr = sqrt(rx * rx + ry * ry + rz * rz)
     hx, hy, hz = rx / nr, ry / nr, rz / nr
     mr = mx * hx + 0.0 * hy + mz * hz
     bx = b_scale * (3.0 * mr * hx - mx)
@@ -461,7 +465,7 @@ def orbit_frame_sample(
     bz = b_scale * (3.0 * mr * hz - mz)
 
     sx, sy, sz = sun_inertial
-    ns = math.sqrt(sx * sx + sy * sy + sz * sz)
+    ns = sqrt(sx * sx + sy * sy + sz * sz)
     if ns == 0.0:
         raise ValueError("cannot normalize a zero vector")
     sx, sy, sz = sx / ns, sy / ns, sz / ns
@@ -470,14 +474,15 @@ def orbit_frame_sample(
         in_eclipse = False
     else:
         px, py, pz = rx - along * sx, ry - along * sy, rz - along * sz
-        in_eclipse = math.sqrt(px * px + py * py + pz * pz) < _CONSTANTS.earth_radius_m
-    return OrbitFrameSample(
-        Vec3(xx * bx + xy * by + xz * bz, yx * bx + yy * by + yz * bz,
-             zx * bx + zy * by + zz * bz),
-        Vec3(xx * sx + xy * sy + xz * sz, yx * sx + yy * sy + yz * sz,
-             zx * sx + zy * sy + zz * sz),
+        in_eclipse = sqrt(px * px + py * py + pz * pz) < _CONSTANTS.earth_radius_m
+    new = tuple.__new__
+    return new(OrbitFrameSample, (
+        new(Vec3, (xx * bx + xy * by + xz * bz, yx * bx + yy * by + yz * bz,
+                   zx * bx + zy * by + zz * bz)),
+        new(Vec3, (xx * sx + xy * sy + xz * sz, yx * sx + yy * sy + yz * sz,
+                   zx * sx + zy * sy + zz * sz)),
         in_eclipse,
         density,
         v_orbit,
         r_orbit,
-    )
+    ))

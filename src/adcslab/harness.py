@@ -441,8 +441,9 @@ class _Metrics:
         self.times: list[float | None] = [0.0, 0.0, 0.0, 0.0]
         self.max_qe = self.max_speed = self.max_cone = 0.0
 
-    def add(self, t: float, q: Quat, omega: Vec3, euler: tuple[float, float, float]) -> None:
-        speed = vnorm(omega)
+    def add(self, t: float, q: Quat, omega: Vec3, speed: float,
+            euler: tuple[float, float, float]) -> None:
+        """One sample; ``speed`` is ``vnorm(omega)``, which the loop has already."""
         times = self.times
         if speed >= self.detumble_radps:
             times[0] = None
@@ -540,11 +541,12 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     max_hw = abs(hw)
     max_tau_b = 0.0
     metrics = _Metrics(s)
+    SAFE, SPIN, DESPIN = Mode.SAFE, Mode.SPIN, Mode.DESPIN  # read once, not per step
 
-    def record(t: float, q: Quat, omega: Vec3, hw: float,
+    def record(t: float, q: Quat, omega: Vec3, speed: float, hw: float,
                tau_m: tuple[float, float, float], tau_rw: float, m: Mode) -> None:
         euler = quat_to_euler(q)
-        metrics.add(t, q, omega, euler)
+        metrics.add(t, q, omega, speed, euler)
         if telemetry:  # the one place that knows the TELEMETRY_COLUMNS order
             rows.append((t, *q, *omega, *euler, *tau_m, tau_rw, hw, m.value))
 
@@ -564,13 +566,13 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         # IDEAL allocation clamps the torque per axis and never reads the field.
         b_ctrl = rotate_orbit_to_body(q, orbit_env.b_orbit_tesla) if physical else ZERO3
         tau_rw = 0.0
-        if mode is Mode.SAFE:
+        if mode is SAFE:
             tau_m = ZERO3
         else:
-            wheel = mode is Mode.SPIN or mode is Mode.DESPIN
+            wheel = mode is SPIN or mode is DESPIN
             if wheel:
                 tau_rw_cmd, tau_m_des = spin_torques(
-                    omega, spin_radps if mode is Mode.SPIN else 0.0, gains)
+                    omega, spin_radps if mode is SPIN else 0.0, gains)
             else:  # DETUMBLE and NOMINAL share the PD law toward the orbit frame
                 tau_m_des = pd_torque(q, omega, gains)
             tau_m, _, saturated = allocate_magnetorquer(tau_m_des, b_ctrl, limits, fidelity)
@@ -591,12 +593,12 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
                 if rel > max_tau_b:
                     max_tau_b = rel
 
+        speed = vnorm(omega)
         if k % tel_every == 0:
-            record(t, q, omega, hw, tau_m, tau_rw, mode)
+            record(t, q, omega, speed, hw, tau_m, tau_rw, mode)
 
         # The substep count depends only on the current rate, so runs stay
         # deterministic.
-        speed = vnorm(omega)
         phases = speed * dt / SUBSTEP_MAX_PHASE_RAD
         if not phases <= MAX_SUBSTEPS:
             raise DivergenceError(k, t, mode.value,
@@ -615,13 +617,14 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         # exactly where the kernel's sum of half-kicks may miss it by an ulp.
         hw = hw_next
 
-    record(n_steps * dt, q, omega, hw, tau_m, tau_rw, mode)
+    speed = vnorm(omega)
+    record(n_steps * dt, q, omega, speed, hw, tau_m, tau_rw, mode)
 
     hold_times = metrics.hold_times()
     detumble_s = hold_times["detumble_time_s"]
     if conops:  # back in nominal with tame rates, schedule fully issued
         converged = (mode is Mode.NOMINAL and all(step < n_steps for step in schedule)
-                     and vnorm(omega) < thresholds.detumble_exit_radps)
+                     and speed < thresholds.detumble_exit_radps)
     else:
         converged = metrics.primary_time() is not None
     max_qe, max_speed, max_cone = metrics.post_settle()
@@ -639,7 +642,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         **hold_times,
         final_q=q,
         final_omega_radps=omega,
-        final_speed_radps=vnorm(omega),
+        final_speed_radps=speed,
         final_wheel_momentum_nms=hw,
         max_qe_post_settle=max_qe,
         max_speed_post_settle_radps=max_speed,

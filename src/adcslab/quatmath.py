@@ -24,11 +24,15 @@ Conventions
 
 These functions are deliberately plain tuple arithmetic: they sit on the
 simulation hot path where small-array numpy overhead dominates the cost.
+The hot-path records, here and in ``rigidbody`` and ``environment``, are
+built with ``tuple.__new__(Vec3, (...))``, as ``namedtuple._make`` does,
+which skips the generated ``__new__``; their types are unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from math import asin, atan2, degrees, fmod, isfinite, sqrt
 from typing import NamedTuple
 
 
@@ -65,11 +69,11 @@ def vdot(a: Vec3, b: Vec3) -> float:
 
 
 def vnorm(a: Vec3) -> float:
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+    return sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
 def visfinite(a: Vec3) -> bool:
-    return math.isfinite(a[0] + a[1] + a[2])
+    return isfinite(a[0] + a[1] + a[2])
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +81,7 @@ def visfinite(a: Vec3) -> bool:
 # ---------------------------------------------------------------------------
 
 def quat_norm(q: Quat) -> float:
-    return math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
 
 
 def canonical_sign(q: Quat) -> Quat:
@@ -103,7 +107,7 @@ def normalize_canonical(q: Quat) -> Quat:
         ZeroQuaternionError: if the norm is zero or not finite.
     """
     n = quat_norm(q)
-    if n == 0.0 or not math.isfinite(n):
+    if n == 0.0 or not isfinite(n):
         raise ZeroQuaternionError(f"cannot normalize quaternion with norm {n}")
     return canonical_sign(Quat(q[0] / n, q[1] / n, q[2] / n, q[3] / n))
 
@@ -112,7 +116,7 @@ def rotate_orbit_to_body(q: Quat, v: Vec3) -> Vec3:
     """Apply ``R(q).T``: express an orbit-frame vector in the body frame."""
     q0, q1, q2, q3 = q
     vx, vy, vz = v
-    return Vec3(
+    return tuple.__new__(Vec3, (
         (1.0 - 2.0 * (q2 * q2 + q3 * q3)) * vx
         + 2.0 * (q1 * q2 + q0 * q3) * vy
         + 2.0 * (q1 * q3 - q0 * q2) * vz,
@@ -122,7 +126,7 @@ def rotate_orbit_to_body(q: Quat, v: Vec3) -> Vec3:
         2.0 * (q1 * q3 + q0 * q2) * vx
         + 2.0 * (q2 * q3 - q0 * q1) * vy
         + (1.0 - 2.0 * (q1 * q1 + q2 * q2)) * vz,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +135,7 @@ def rotate_orbit_to_body(q: Quat, v: Vec3) -> Vec3:
 
 def _wrap_deg(angle: float) -> float:
     """Map an angle in degrees to (-180, 180]."""
-    a = math.fmod(angle, 360.0)
+    a = fmod(angle, 360.0)
     if a <= -180.0:
         a += 360.0
     elif a > 180.0:
@@ -154,14 +158,11 @@ def quat_to_euler(q: Quat) -> tuple[float, float, float]:
     if abs(sin_pitch) >= 1.0 - 1e-12:
         pitch = math.copysign(90.0, sin_pitch)
         roll = 0.0
-        yaw = math.degrees(math.atan2(2.0 * (q1 * q2 + q0 * q3),
-                                      1.0 - 2.0 * (q2 * q2 + q3 * q3)))
+        yaw = degrees(atan2(2.0 * (q1 * q2 + q0 * q3), 1.0 - 2.0 * (q2 * q2 + q3 * q3)))
     else:
-        pitch = math.degrees(math.asin(sin_pitch))
-        roll = math.degrees(math.atan2(2.0 * (q2 * q3 + q0 * q1),
-                                       1.0 - 2.0 * (q1 * q1 + q2 * q2)))
-        yaw = math.degrees(math.atan2(2.0 * (q1 * q2 + q0 * q3),
-                                      1.0 - 2.0 * (q2 * q2 + q3 * q3)))
+        pitch = degrees(asin(sin_pitch))
+        roll = degrees(atan2(2.0 * (q2 * q3 + q0 * q1), 1.0 - 2.0 * (q1 * q1 + q2 * q2)))
+        yaw = degrees(atan2(2.0 * (q1 * q2 + q0 * q3), 1.0 - 2.0 * (q2 * q2 + q3 * q3)))
     return (_wrap_deg(roll), pitch, _wrap_deg(yaw))
 
 

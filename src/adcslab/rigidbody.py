@@ -21,12 +21,13 @@ gyrostat).  Each rotation turns ``L`` and ``q`` exactly, so ``|L|`` is kept
 to rounding and the step is second order; for an axisymmetric tensor and no
 wheel ``R3`` drops out and the torque-free step is exact.  Its reference,
 the same step written with quaternion helpers, is in ``tests/oracles.py``,
-held equal bit for bit by a property test.
+held equal bit for bit by a property test.  Its records are built with
+``tuple.__new__`` (see :mod:`adcslab.quatmath`); their types are unchanged.
 """
 
 from __future__ import annotations
 
-import math
+from math import cos, isfinite, sin, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -166,7 +167,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
         NonFiniteStateError: if the momentum or the quaternion norm leaves
             the finite domain.
     """
-    if not (dt > 0.0) or not math.isfinite(dt):
+    if not (dt > 0.0) or not isfinite(dt):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_sub < 1:
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
@@ -174,7 +175,6 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     tx, ty, tz = torque
     (q0, q1, q2, q3), (wx, wy, wz), hw, t = state
     step = dt / n_sub
-    sqrt, cos, sin = math.sqrt, math.cos, math.sin
 
     # Into the principal frame: H = diag(I) V^T omega, the half-step torque
     # impulse V^T tau step / 2, and the attitude of the principal axes q (x) e.
@@ -269,7 +269,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
                                   q0 * u3 + q1 * u2 - q2 * u1 + q3 * u0)
                 hw = hw + kw
             h1, h2, h3 = h1 + k1, h2 + k2, h3 + k3
-    except ValueError as exc:  # math.cos and math.sin of an infinite angle
+    except ValueError as exc:  # cos and sin of an infinite angle
         raise _runaway(t, step) from exc
 
     # Back to the structure frame: q (x) conj(e) and omega = V diag(I)^-1 H.
@@ -279,7 +279,7 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
                       q0 * e2 - q1 * e3 + q2 * e0 + q3 * e1,
                       q0 * e3 + q1 * e2 - q2 * e1 + q3 * e0)
     n = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-    if not (n > 0.0 and math.isfinite(n + h1 + h2 + h3)):
+    if not (n > 0.0 and isfinite(n + h1 + h2 + h3)):
         raise _runaway(t, step)
     q0 = q0 / n
     q1 = q1 / n
@@ -292,11 +292,12 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     if wheel:  # H = L + hw V^T x
         h1, h2, h3 = h1 + hw * ax, h2 + hw * bx, h3 + hw * cx
     w1, w2, w3 = h1 / i1, h2 / i2, h3 / i3
-    return AttitudeState(
-        Quat(q0 + 0.0, q1 + 0.0, q2 + 0.0, q3 + 0.0),  # + 0.0 turns -0.0 into 0.0
-        Vec3(w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,
-             w1 * az + w2 * bz + w3 * cz),
-        hw, t + dt)
+    new = tuple.__new__
+    return new(AttitudeState, (
+        new(Quat, (q0 + 0.0, q1 + 0.0, q2 + 0.0, q3 + 0.0)),  # + 0.0 turns -0.0 into 0.0
+        new(Vec3, (w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,
+                   w1 * az + w2 * bz + w3 * cz)),
+        hw, t + dt))
 
 
 def _runaway(t: float, step: float) -> NonFiniteStateError:

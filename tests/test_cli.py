@@ -276,6 +276,16 @@ def test_bad_env_seed_returns_1(monkeypatch, capsys):
     assert "ADCSLAB_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["-4", "1_000", " 7 ", "+7", "٣", ""])
+def test_env_seed_must_be_plain_digits(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("ADCSLAB_SEED", raw)
+    rc = main(["simulate", "--mode", "safe", "--duration-s", "2", "--out", "s.csv", "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ADCSLAB_SEED" in err and repr(raw) in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 # ------------------------------------------------------------- conops
 
 def test_conops_command_runs_a_scheduled_sequence(tmp_path):

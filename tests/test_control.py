@@ -161,18 +161,23 @@ def test_ideal_allocation_at_the_limit_is_not_saturated():
     assert not saturated
 
 
-torques = st.floats(-3e-5, 3e-5) | st.sampled_from([0.0, -0.0, 1e-5, -1e-5])
+_LIM = LIMITS.max_magnetic_torque_nm
+torques = (st.floats(-3e-5, 3e-5) | st.floats()
+           | st.sampled_from([0.0, -0.0, _LIM, -_LIM, math.nan, -math.nan, math.inf, -math.inf]))
 
 
 @given(st.builds(Vec3, torques, torques, torques))
 def test_ideal_allocation_is_the_per_axis_clamp_bit_for_bit(tau):
+    """Over every float, NaN, the infinities and the limit itself included:
+    NaN passes through, and only a torque beyond the limit saturates."""
     lim = LIMITS.max_magnetic_torque_nm
     want = [min(max(x, -lim), lim) for x in tau]
     tau_m, dipole, saturated = allocate_magnetorquer(tau, Vec3(0.0, 0.0, 0.0), LIMITS,
                                                      Fidelity.IDEAL)
     assert [x.hex() for x in tau_m] == [x.hex() for x in want]
+    assert [math.copysign(1.0, x) for x in tau_m] == [math.copysign(1.0, x) for x in want]
     assert type(tau_m) is tuple and dipole == Vec3(0.0, 0.0, 0.0)
-    assert saturated == any(abs(x) > lim for x in tau)
+    assert saturated is any(abs(x) > lim for x in tau)
 
 
 # ------------------------------------------------------------- physical allocation

@@ -12,6 +12,7 @@ from adcslab.environment import (
     EnvironmentSample,
     Face,
     OrbitConfig,
+    OrbitFrameSample,
     OrbitState,
     SpacecraftGeometry,
     atmospheric_density,
@@ -676,3 +677,28 @@ def test_stored_constants_leave_equality_repr_hash_and_pickling_alone():
     assert hash(geom) == hash((geom.faces, 2.0, C.specular_reflectance, C.diffuse_reflectance))
     back = pickle.loads(pickle.dumps(geom))
     assert back == geom and _hexes(back.kernel) == _hexes(geom.kernel)
+
+
+@pytest.mark.parametrize("t", [0.0, 2772.0], ids=["lit", "eclipse"])
+def test_refresh_records_have_their_declared_types(t):
+    """The refresh builds its records without their generated constructors;
+    the types stay exact, nested Vec3s included."""
+    orbit = propagate_orbit(CFG, t)
+    assert type(orbit) is OrbitState
+    assert [type(v) for v in orbit[:5]] == [Vec3] * 5
+    assert type(orbit.radius_m) is float and type(orbit.speed_mps) is float
+    sample = orbit_frame_sample(CFG, t)
+    assert type(sample) is OrbitFrameSample
+    assert [type(v) for v in (sample.b_orbit_tesla, sample.sun_orbit, sample.v_orbit_mps,
+                              sample.r_orbit_m)] == [Vec3] * 4
+    assert sample.in_eclipse is (t > 0.0)
+    assert type(sample.density_kgm3) is float
+    q = quat_from_euler(10.0, -20.0, 30.0)
+    env = sample.to_body(q)
+    assert type(env) is EnvironmentSample
+    assert [type(v) for v in (env.sun_body, env.v_rel_body_mps, env.r_body_m)] == [Vec3] * 3
+    J = InertiaTensor.diagonal(0.0156, 0.0157, 5e-3)
+    for include in ((True, True, True), (False, False, False)):
+        tau = total_disturbance(SpacecraftGeometry.box(), env, J, Vec3(0.0, 0.0, 0.01), include)
+        assert type(tau) is Vec3
+    assert type(rotate_orbit_to_body(q, sample.b_orbit_tesla)) is Vec3

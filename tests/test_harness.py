@@ -41,7 +41,7 @@ PERIOD = orbit_period(OrbitConfig())
 
 def _sample(t, w=(0.0, 0.0, 0.0), euler=(0.0, 0.0, 0.0), q=(1.0, 0.0, 0.0, 0.0)):
     """One recorded sample as the named values ``_Metrics.add`` takes."""
-    return dict(t=t, q=Quat(*q), omega=Vec3(*w), euler=euler)
+    return dict(t=t, q=Quat(*q), omega=Vec3(*w), speed=vnorm(w), euler=euler)
 
 
 # ------------------------------------------------------------- scenario checks

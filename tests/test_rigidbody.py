@@ -397,3 +397,19 @@ def test_propagate_canonical_sign_at_q0_zero(q):
     assert fused.q == normalize_canonical(q)
     assert all(math.copysign(1.0, c) > 0.0 for c in fused.q), fused.q
     assert repr(fused) == repr(propagate_reference(_state(q), J123, ZERO3, 0.1, 3))
+
+
+@pytest.mark.parametrize("J", [J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE],
+                         ids=["diag123", "off-diagonal", "flight (merged)", "oblate (merged)"])
+@pytest.mark.parametrize("hw, tau_rw", [(0.0, 0.0), (0.004, 0.0), (0.0, 1e-3)],
+                         ids=["no wheel", "wheel momentum", "wheel torque"])
+def test_propagate_returns_the_declared_record_types(J, hw, tau_rw):
+    """The records are built without their generated constructors; the
+    types stay exact, for a plain tuple state too."""
+    q = normalize_canonical(Quat(0.5, 0.5, -0.5, 0.5))
+    for start in (_state(q, Vec3(0.3, -0.2, 0.1), hw, 1.0), (q, (0.3, -0.2, 0.1), hw, 1.0)):
+        out = propagate(start, J, (1e-6, 0.0, -1e-6), 0.1, 2, wheel_torque=tau_rw)
+        assert type(out) is AttitudeState
+        assert type(out.q) is Quat
+        assert type(out.omega) is Vec3
+        assert type(out.wheel_momentum) is float and type(out.t) is float

@@ -26,13 +26,11 @@ from typing import Sequence
 
 from .config import ConfigError, read_config, scenario_from_dict
 from .control import Fidelity
-from .harness import STANDALONE_MODES, DivergenceError, Scenario, monte_carlo, run_scenario
+from .harness import MODES, DivergenceError, Scenario, monte_carlo, run_scenario
 from .massmodel import bundled_catalog, corner_envelope, load_catalog, mass_properties
 from .svgplot import write_plot
 
 __all__ = ["main", "build_parser"]
-
-_ALL_MODES = STANDALONE_MODES + ("conops",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,7 +71,7 @@ def _flag_numbers(args, name: str, count: int) -> tuple[float, ...] | None:
 def _add_scenario_flags(p: argparse.ArgumentParser, with_mode: bool) -> None:
     p.add_argument("--config", metavar="PATH", help="JSON scenario config")
     if with_mode:
-        p.add_argument("--mode", choices=_ALL_MODES, help="operating mode")
+        p.add_argument("--mode", choices=MODES, help="operating mode")
     p.add_argument("--dt", type=float, metavar="S", help="integrator step (s)")
     dur = p.add_mutually_exclusive_group()
     dur.add_argument("--duration-s", type=float, metavar="S", help="run length (s)")
@@ -110,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Deterministic CubeSat attitude-control simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[], help="run one scenario")
+    p_sim = sub.add_parser("simulate", help="run one scenario")
     _add_scenario_flags(p_sim, with_mode=True)
     _add_output_flags(p_sim)
     p_sim.set_defaults(func=_cmd_simulate, forced_mode=None)
@@ -276,6 +274,8 @@ def _cmd_inertia(args) -> int:
     return 0
 
 
+# Keys of RunResult.to_dict(), besides the member's index, its name and the
+# regolith position split per axis, which _cmd_montecarlo adds to each row.
 _MC_COLUMNS = ("index", "name", "converged", "detumble_time_orbits",
                "spin_settle_time_s", "despin_time_s", "align_time_s",
                "final_speed_radps", "max_wheel_momentum_nms",
@@ -285,6 +285,8 @@ _MC_COLUMNS = ("index", "name", "converged", "detumble_time_orbits",
 def _mc_cell(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, bool):
+        return str(v).lower()
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -306,17 +308,11 @@ def _cmd_montecarlo(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_MC_COLUMNS)
         for i, r in enumerate(mc.results):
-            reg = r.regolith_position_cm
-            writer.writerow([
-                str(i), r.scenario_name, str(r.converged).lower(),
-                _mc_cell(r.detumble_time_orbits), _mc_cell(r.spin_settle_time_s),
-                _mc_cell(r.despin_time_s), _mc_cell(r.align_time_s),
-                _mc_cell(r.final_speed_radps), _mc_cell(r.max_wheel_momentum_nms),
-                _mc_cell(None if reg is None else reg[0]),
-                _mc_cell(None if reg is None else reg[1]),
-                _mc_cell(None if reg is None else reg[2]),
-                _mc_cell(r.error),
-            ])
+            row = r.to_dict()
+            row.update(index=i, name=row["scenario"])
+            row.update(zip(("regolith_x_cm", "regolith_y_cm", "regolith_z_cm"),
+                           row["regolith_position_cm"] or (None, None, None)))
+            writer.writerow([_mc_cell(row[c]) for c in _MC_COLUMNS])
 
     payload = json.dumps(mc.summary, indent=2)
     if args.summary:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .control import Fidelity
 from .environment import SpacecraftGeometry
-from .harness import STANDALONE_MODES, Scenario, default_scenario
+from .harness import MODES, Scenario, default_scenario
 from .massmodel import CatalogError, load_catalog, read_json_object, read_number, read_numbers
 from .quatmath import RPM_TO_RADPS, Quat, Vec3, normalize_canonical, quat_from_euler
 
@@ -207,7 +207,7 @@ def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
 
     mode_section = data.get("mode", {})
     mode = mode_section.get("mode", "detumble")
-    if mode not in STANDALONE_MODES + ("conops",):
+    if mode not in MODES:
         raise ConfigError(f"mode.mode: unknown mode {mode!r}")
     s = default_scenario(mode)
 
@@ -247,8 +247,6 @@ def scenario_from_dict(data: dict, config_dir: Path | None = None) -> Scenario:
             raise ConfigError("sim: give duration_orbits or duration_s, not both")
         updates["duration_orbits"] = None  # else the preset's orbits would win
 
-    if mode != "conops":
-        updates.setdefault("schedule", ())
     try:
         return replace(s, **updates)
     except ValueError as exc:

@@ -90,7 +90,7 @@ __all__ = [
     "MonteCarloResult",
     "DivergenceError",
     "TELEMETRY_COLUMNS",
-    "STANDALONE_MODES",
+    "MODES",
     "assemble",
     "run_scenario",
     "run_scenario_metrics",
@@ -129,8 +129,10 @@ TELEMETRY_COLUMNS = (
     "tau_rw_Nm", "hw_Nms", "mode",
 )
 
-STANDALONE_MODES = ("detumble", "nominal", "spin", "despin", "safe")
-_SCHEDULE_COMMANDS = ("spin", "despin", "safe", "nominal")
+# Every mode a scenario may run: each controller mode held alone, or conops,
+# which starts in de-tumble and takes any other mode as a scheduled command.
+MODES = (*(m.value for m in Mode), "conops")
+_SCHEDULE_COMMANDS = tuple(m.value for m in Mode if m is not Mode.DETUMBLE)
 
 # The hold-time metrics, in the order _Metrics keeps them, and the index of
 # the one each mode is judged by (conops: back in nominal pointing).  Safe
@@ -200,7 +202,7 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in STANDALONE_MODES + ("conops",):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.regolith_policy == "fixed" and self.regolith_fixed_cm is None:
             raise ValueError("regolith policy 'fixed' needs regolith_fixed_cm")
@@ -334,8 +336,6 @@ class Telemetry:
     """Decimated run history: one 17-column row per recorded sample."""
 
     __slots__ = ("rows",)
-
-    columns = TELEMETRY_COLUMNS
 
     def __init__(self, rows: list[tuple]) -> None:
         self.rows = rows
@@ -514,7 +514,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     period = orbit_period(cfg)
     duration = s.resolved_duration_s()
     dt = s.dt_s
-    n_steps = max(1, int(round(duration / dt)))
+    n_steps = round(duration / dt)  # >= 1: resolved_duration_s refuses dt > duration
     tel_every = _telemetry_steps(s, duration)
     env_every = _whole_steps(s, "env_update_every_s")
 

@@ -42,7 +42,6 @@ __all__ = [
     "CornerEnvelope",
     "CatalogError",
     "compute_cg",
-    "recentre",
     "inertia_tensor",
     "mass_properties",
     "corner_envelope",
@@ -169,14 +168,6 @@ def compute_cg(catalog: MassCatalog) -> Vec3:
     return Vec3(mx / m, my / m, mz / m)
 
 
-def recentre(catalog: MassCatalog, r_g: Vec3) -> list[Vec3]:
-    """Positions shifted so the CG is the origin (still centimeters)."""
-    return [
-        Vec3(c.position_cm[0] - r_g[0], c.position_cm[1] - r_g[1], c.position_cm[2] - r_g[2])
-        for c in catalog.all_components
-    ]
-
-
 def inertia_tensor(catalog: MassCatalog) -> np.ndarray:
     """Inertia tensor about the CG, kg*m^2 (possibly singular -- see module doc).
 
@@ -186,11 +177,12 @@ def inertia_tensor(catalog: MassCatalog) -> np.ndarray:
     (``J[0][1]`` and ``J[1][0]`` may differ in the last bit), so the tensor is
     not symmetrised here.
     """
-    r_g = compute_cg(catalog)
+    gx, gy, gz = compute_cg(catalog)
     xx = yx = zx = xy = yy = zy = xz = yz = zz = 0.0
-    for c, r in zip(catalog.all_components, recentre(catalog, r_g)):
+    for c in catalog.all_components:
         m = c.mass_kg
-        x, y, z = r[0] * CM_TO_M, r[1] * CM_TO_M, r[2] * CM_TO_M
+        r = c.position_cm  # recentred on the CG, then in meters
+        x, y, z = (r[0] - gx) * CM_TO_M, (r[1] - gy) * CM_TO_M, (r[2] - gz) * CM_TO_M
         mx, my, mz = m * x, m * y, m * z
         xx += y * my + z * mz
         yx -= x * my
@@ -244,8 +236,8 @@ def corner_envelope(catalog: MassCatalog) -> CornerEnvelope:
     cgs = np.array([p.cg_cm for _, p in results])
     js = np.array([p.inertia_kgm2 for _, p in results])
     return CornerEnvelope(
-        cg_min_cm=Vec3(*cgs.min(axis=0)),
-        cg_max_cm=Vec3(*cgs.max(axis=0)),
+        cg_min_cm=Vec3(*cgs.min(axis=0).tolist()),
+        cg_max_cm=Vec3(*cgs.max(axis=0).tolist()),
         j_min_kgm2=js.min(axis=0),
         j_max_kgm2=js.max(axis=0),
         corners=tuple(results),

@@ -126,9 +126,6 @@ class InertiaTensor:
     def matrix(self) -> np.ndarray:
         return self._m.copy()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"InertiaTensor({self._m.tolist()})"
-
 
 def _quat_from_matrix(r: np.ndarray) -> Quat:
     """The unit quaternion, ``q0 >= 0``, whose rotation matrix is ``r``.

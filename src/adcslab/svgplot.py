@@ -80,7 +80,7 @@ def _panel(x: list[float], series: list[list[float]], labels, y_unit: str,
     out.append(f'<text x="{left - 48}" y="{top + height / 2:.2f}" font-size="12" '
                f'fill="#222" transform="rotate(-90 {left - 48} {top + height / 2:.2f})" '
                f'text-anchor="middle">{escape(y_unit, quote=False)}</text>')
-    for s, label, color in zip(series, labels, _COLORS):
+    for s, color in zip(series, _COLORS):
         pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, s))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.3"/>')

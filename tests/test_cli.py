@@ -1,5 +1,8 @@
+import argparse
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -11,11 +14,24 @@ import pytest
 
 import adcslab
 from adcslab.cli import build_parser, main
-from adcslab.harness import TELEMETRY_COLUMNS, Scenario, run_scenario
+from adcslab.config import scenario_from_dict
+from adcslab.harness import (
+    MODES,
+    TELEMETRY_COLUMNS,
+    Scenario,
+    default_scenario,
+    monte_carlo,
+    run_scenario,
+)
 from adcslab.massmodel import bundled_catalog, sample_regolith
 from adcslab.svgplot import render_plot
 
 SPIN = ["simulate", "--mode", "spin", "--quiet"]
+# Gains this large drive the rates past the substep cap within a few steps.
+RUNAWAY = {"mode": {"mode": "detumble"},
+           "gains": {"kp": 1e20, "kd": 1e20},
+           "limits": {"max_magnetic_torque_nm": 1e30},
+           "sim": {"duration_s": 30.0, "omega0_rpm": [10.0, 0.0, 0.0]}}
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -65,11 +81,7 @@ def test_simulate_exit_2_when_not_converged():
 
 
 def test_simulate_exit_2_on_divergence(tmp_path, capsys):
-    cfg = {"mode": {"mode": "detumble"},
-           "gains": {"kp": 1e20, "kd": 1e20},
-           "limits": {"max_magnetic_torque_nm": 1e30},
-           "sim": {"duration_s": 30.0, "omega0_rpm": [10.0, 0.0, 0.0]}}
-    (tmp_path / "runaway.json").write_text(json.dumps(cfg))
+    (tmp_path / "runaway.json").write_text(json.dumps(RUNAWAY))
     rc = main(["simulate", "--config", "runaway.json", "--quiet", "--out", "run.csv"])
     assert rc == 2
     assert "diverged" in capsys.readouterr().err
@@ -357,6 +369,16 @@ def test_inertia_corner_sweep(capsys):
     assert all(lo <= hi for lo, hi in zip(env["cg_min_cm"], env["cg_max_cm"]))
 
 
+def test_inertia_corner_sweep_text_prints_plain_numbers(capsys):
+    assert main(["inertia", "--json", "--sweep-corners"]) == 0
+    env = json.loads(capsys.readouterr().out)["corner_envelope"]
+    assert main(["inertia", "--sweep-corners"]) == 0
+    out = capsys.readouterr().out
+    assert "np." not in out
+    assert f"  cg min (cm): {env['cg_min_cm']}\n" in out
+    assert f"  cg max (cm): {env['cg_max_cm']}\n" in out
+
+
 def test_inertia_flags_degenerate_custom_catalogs(tmp_path, capsys):
     catalog = {"name": "point", "chamber_cm": {"x": [-1, 1], "y": [-1, 1], "z": [0, 1]},
                "components": [{"name": "only", "mass_kg": 1.0, "position_cm": [0, 0, 0]}]}
@@ -385,6 +407,50 @@ def test_montecarlo_csv_and_summary(tmp_path):
     blob = json.loads(out.read_text())
     assert blob["runs"] == 3 and blob["converged"] == 3
     assert blob["metrics"]["spin_settle_time_s"]["count"] == 3
+
+
+def _mc_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("config", [{"mode": {"mode": "spin"}}, RUNAWAY],
+                         ids=["clean", "diverging"])
+def test_montecarlo_csv_cells_match_each_members_result(tmp_path, config):
+    """Every cell, read by its column name, is the field of the member's
+    RunResult: floats as repr, None as an empty cell, booleans in lower case."""
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    rc = main(["montecarlo", "--config", "c.json", "--runs", "3", "--seed", "2", "--quiet",
+               "--out", "mc.csv"])
+    base = scenario_from_dict({**config, "sim": {**config.get("sim", {}), "seed": 2}})
+    results = monte_carlo(base, 3, 2, vary=("regolith",)).results
+    assert rc == (0 if config is not RUNAWAY else 2)
+    with open(tmp_path / "mc.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    metrics = ("detumble_time_orbits", "spin_settle_time_s", "despin_time_s",
+               "align_time_s", "final_speed_radps", "max_wheel_momentum_nms")
+    regolith = ("regolith_x_cm", "regolith_y_cm", "regolith_z_cm")
+    assert reader.fieldnames == ["index", "name", "converged", *metrics, *regolith, "error"]
+    assert len(rows) == len(results) == 3
+    for i, (row, r) in enumerate(zip(rows, results)):
+        assert row["index"] == str(i)
+        assert row["name"] == r.scenario_name == f"{base.name}[{i}]"
+        assert row["converged"] == _mc_cell(r.converged)
+        for name in metrics:
+            assert row[name] == _mc_cell(getattr(r, name)), name
+        position = r.regolith_position_cm or (None, None, None)
+        assert [row[name] for name in regolith] == [_mc_cell(v) for v in position]
+        assert row["error"] == _mc_cell(r.error)
+    if config is RUNAWAY:
+        assert all(row["error"].startswith("state diverged") for row in rows)
+        assert all(row["converged"] == "false" and row["detumble_time_orbits"] == ""
+                   for row in rows)
+    else:
+        assert all(row["error"] == "" for row in rows)
 
 
 def test_montecarlo_worker_count_does_not_change_results(tmp_path):
@@ -457,6 +523,38 @@ def test_montecarlo_keeps_a_placement_when_it_varies_only_the_rates(tmp_path):
 
 
 # ------------------------------------------------------------- parser plumbing
+
+def _mode_choices(command: str):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in commands.choices[command]._actions if a.dest == "mode")
+
+
+def test_every_mode_list_is_harness_modes():
+    """The CLI choices, the config reader, Scenario and the presets all take
+    exactly the modes of harness.MODES."""
+    assert MODES == ("detumble", "nominal", "spin", "despin", "safe", "conops")
+    assert tuple(_mode_choices("simulate")) == tuple(_mode_choices("montecarlo")) == MODES
+    for mode in MODES:
+        assert scenario_from_dict({"mode": {"mode": mode}}).mode == mode
+        assert Scenario(mode=mode).mode == mode
+        assert default_scenario(mode).mode == mode
+    with pytest.raises(ValueError, match=re.escape(str(sorted(MODES)))):
+        default_scenario("cruise")
+    for unknown in ("cruise", "DETUMBLE", ""):
+        with pytest.raises(ValueError, match="unknown mode"):
+            scenario_from_dict({"mode": {"mode": unknown}})
+        with pytest.raises(ValueError, match="unknown mode"):
+            Scenario(mode=unknown)
+
+
+def test_an_unknown_schedule_command_names_the_allowed_ones():
+    for command in ("detumble", "cruise"):
+        with pytest.raises(ValueError, match="unknown schedule command") as exc:
+            Scenario(mode="conops", schedule=((10.0, command),))
+        allowed = re.findall(r"'(\w+)'", str(exc.value).split("expected one of")[1])
+        assert sorted(allowed) == ["despin", "nominal", "safe", "spin"]
+
 
 def test_parser_defaults():
     args = build_parser().parse_args(["simulate"])

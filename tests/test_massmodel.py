@@ -19,7 +19,6 @@ from adcslab.massmodel import (
     inertia_tensor,
     load_catalog,
     mass_properties,
-    recentre,
     sample_regolith,
 )
 from adcslab.quatmath import Vec3
@@ -74,20 +73,6 @@ def test_cg_translation_equivariance(cat, shift):
     assert b.z - a.z == pytest.approx(shift[2], abs=1e-9)
 
 
-@given(random_catalogs())
-def test_recentred_positions_average_to_zero(cat):
-    rel = recentre(cat, compute_cg(cat))
-    total = sum(c.mass_kg for c in cat.all_components)
-    for axis in range(3):
-        s = sum(c.mass_kg * r[axis] for c, r in zip(cat.all_components, rel))
-        assert s / total == pytest.approx(0.0, abs=1e-12)
-
-
-def test_recentre_single_mass_lands_on_origin():
-    cat = _catalog([("solo", 1.0, (1.0, 2.0, 3.0))])
-    assert recentre(cat, compute_cg(cat)) == [Vec3(0.0, 0.0, 0.0)]
-
-
 # -------------------------------------------------------------------- inertia
 
 def test_z_pair_inertia_is_singular_dumbbell():
@@ -99,18 +84,28 @@ def test_z_pair_inertia_is_singular_dumbbell():
     assert np.allclose(J, expect, atol=1e-15)
 
 
+def _recentred_cm(cat):
+    """Each component's position minus the CG, in centimeters."""
+    return np.array([c.position_cm for c in cat.all_components]) - np.array(compute_cg(cat))
+
+
 def _closed_form(cat):
     """Independent oracle: J = sum m (|r|^2 I - r r^T) over recentred meters."""
-    cg = compute_cg(cat)
     J = np.zeros((3, 3))
-    for c, r in zip(cat.all_components, recentre(cat, cg)):
-        rm = np.array(r) * 0.01
+    for c, r in zip(cat.all_components, _recentred_cm(cat)):
+        rm = r * 0.01
         J += c.mass_kg * (rm @ rm * np.eye(3) - np.outer(rm, rm))
     return J
 
 
 @given(random_catalogs())
 def test_coefficient_extraction_matches_closed_form(cat):
+    # The oracle's recentred positions put the CG at the origin.
+    total = sum(c.mass_kg for c in cat.all_components)
+    rel = _recentred_cm(cat)
+    for axis in range(3):
+        s = sum(c.mass_kg * r[axis] for c, r in zip(cat.all_components, rel))
+        assert s / total == pytest.approx(0.0, abs=1e-12)
     J = inertia_tensor(cat)
     ref = _closed_form(cat)
     scale = max(np.abs(ref).max(), 1e-30)
@@ -135,7 +130,7 @@ def test_inertia_translation_invariance(cat, shift):
 
 def _cross_product_columns(cat):
     """Column j = sum_i r_i x m_i (e_j x r_i), through numpy's cross product."""
-    rel = np.array(recentre(cat, compute_cg(cat))) * 0.01
+    rel = _recentred_cm(cat) * 0.01
     J = np.empty((3, 3))
     for j, e in enumerate(np.eye(3)):
         h = np.zeros(3)

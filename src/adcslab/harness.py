@@ -202,6 +202,14 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        # Numpy scalars would reach the telemetry and the summary as
+        # np.float64(...); the vectors and the wheel momentum are kept as
+        # plain floats.
+        for name, kind in (("q0", Quat), ("omega0_radps", Vec3), ("sun_inertial", Vec3),
+                           ("regolith_fixed_cm", Vec3)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, kind(*map(float, getattr(self, name))))
+        object.__setattr__(self, "wheel_momentum0_nms", float(self.wheel_momentum0_nms))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.regolith_policy == "fixed" and self.regolith_fixed_cm is None:

@@ -18,11 +18,16 @@ energy ``hw L . J^-1 x``, whose flow turns the body about the body-fixed
 ``J^-1 x``; it runs for half a substep on each side of the ``R1 R3 R1``
 sequence (P. C. Hughes, *Spacecraft Attitude Dynamics*, 1986, for the
 gyrostat).  Each rotation turns ``L`` and ``q`` exactly, so ``|L|`` is kept
-to rounding and the step is second order; for an axisymmetric tensor and no
-wheel ``R3`` drops out and the torque-free step is exact.  Its reference,
-the same step written with quaternion helpers, is in ``tests/oracles.py``,
-held equal bit for bit by a property test.  Its records are built with
-``tuple.__new__`` (see :mod:`adcslab.quatmath`); their types are unchanged.
+to rounding and the step is second order.  A rotation whose coefficient is
+exactly zero is skipped: with ``I2 == I3`` the two ``R1`` halves are one
+``R1(h)``, with ``I1 == I2`` only ``R3(h)`` is left, so for an axisymmetric
+tensor and no wheel the torque-free step is exact.  A diagonal tensor whose
+y moment lies between the other two is *aligned*: its structure axes are
+its principal axes, and the step runs in the structure frame with no change
+of frame.  The stowed flight stack is one.  Its reference, the same step
+written with quaternion helpers, is in ``tests/oracles.py``, held equal bit
+for bit by a property test.  Its records are built with ``tuple.__new__``
+(see :mod:`adcslab.quatmath`); their types are unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quatmath import Quat, Vec3
+from .quatmath import IDENTITY, Quat, Vec3
 
 __all__ = [
     "AttitudeState",
@@ -69,16 +74,22 @@ class InertiaTensor:
     catalog surfaces before any propagation is attempted.
 
     The same eigendecomposition gives the integrator's principal frame:
-    ``principal_moments`` (the middle one second; an equal pair second and
-    third), right-handed unit ``principal_axes`` in the structure frame, and
-    ``principal_frame``, the quaternion whose matrix has them as columns.
+    ``principal_moments`` (the middle one second), right-handed unit
+    ``principal_axes`` in the structure frame, and ``principal_frame``, the
+    quaternion whose matrix has them as columns.  An exactly diagonal tensor
+    whose y moment lies between its x and z moments is ``aligned``: its
+    moments stay in (Jxx, Jyy, Jzz) order and its frame is the identity, so
+    :func:`propagate` needs no change of frame.  Any other tensor takes the
+    moments in ascending order, or an equal pair second and third.
     ``kernel`` is what :func:`propagate` unpacks, flat and built once: the
-    nine axis components, the three moments, the frame quaternion, and the
-    rotation rates ``1/I1 - 1/I2`` and ``1/I3 - 1/I2``.
+    ``aligned`` flag, the nine axis components, the three moments, the frame
+    quaternion and the vector part of its conjugate, the rotation rates
+    ``1/I1 - 1/I2`` and ``1/I3 - 1/I2``, and the norm and unit direction of
+    ``J^-1 x``, the axis of the wheel's flow, in the principal frame.
     """
 
-    __slots__ = ("_m", "rows", "principal_moments", "principal_axes", "principal_frame",
-                 "kernel")
+    __slots__ = ("_m", "rows", "aligned", "principal_moments", "principal_axes",
+                 "principal_frame", "kernel")
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=float)
@@ -102,21 +113,33 @@ class InertiaTensor:
             raise ValueError(
                 f"principal moments violate the triangle inequality: {eigvals}"
             )
-        if np.linalg.det(axes) < 0.0:
-            axes[:, 0] = -axes[:, 0]
-        # Ascending keeps the middle moment second; a cyclic shift keeps the
-        # frame right-handed and moves an equal pair to the second and third.
-        order = [2, 0, 1] if e1 == e2 != e3 else [0, 1, 2]
-        axes = axes[:, order]
+        jxx, jyy, jzz = (float(m[k, k]) for k in range(3))
+        self.aligned = (np.array_equal(m, np.diag(np.diag(m)))
+                        and (jxx <= jyy <= jzz or jzz <= jyy <= jxx))
+        if self.aligned:
+            axes = np.eye(3)
+            self.principal_moments = (jxx, jyy, jzz)
+            self.principal_frame = IDENTITY
+        else:
+            if np.linalg.det(axes) < 0.0:
+                axes[:, 0] = -axes[:, 0]
+            # Ascending keeps the middle moment second; a cyclic shift keeps the
+            # frame right-handed and moves an equal pair to the second and third.
+            order = [2, 0, 1] if e1 == e2 != e3 else [0, 1, 2]
+            axes = axes[:, order]
+            self.principal_moments = tuple(float(eigvals[k]) for k in order)
+            self.principal_frame = _quat_from_matrix(axes)
         self._m = m
-        self.principal_moments = tuple(float(eigvals[k]) for k in order)
         self.principal_axes = tuple(Vec3(*map(float, axes[:, k])) for k in range(3))
-        self.principal_frame = _quat_from_matrix(axes)
         self.rows = tuple(tuple(float(x) for x in row) for row in m)
+        (ax, _, _), (bx, _, _), (cx, _, _) = self.principal_axes
         i1, i2, i3 = self.principal_moments
-        self.kernel = (*(x for axis in self.principal_axes for x in axis),
-                       i1, i2, i3, *self.principal_frame,
-                       1.0 / i1 - 1.0 / i2, 1.0 / i3 - 1.0 / i2)
+        _, f1, f2, f3 = self.principal_frame
+        g1, g2, g3 = ax / i1, bx / i2, cx / i3
+        gn = sqrt(g1 * g1 + g2 * g2 + g3 * g3)
+        self.kernel = (self.aligned, *(x for axis in self.principal_axes for x in axis),
+                       i1, i2, i3, *self.principal_frame, -f1, -f2, -f3,
+                       1.0 / i1 - 1.0 / i2, 1.0 / i3 - 1.0 / i2, gn, g1 / gn, g2 / gn, g3 / gn)
 
     @classmethod
     def diagonal(cls, jxx: float, jyy: float, jzz: float) -> "InertiaTensor":
@@ -153,9 +176,10 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     ``state`` is unpacked by position, so a plain ``(q, omega, hw, t)`` tuple
     serves as well as an :class:`AttitudeState`.  The state moves to the
     principal frame once, runs the substeps on plain local floats, and moves
-    back; ``propagate_reference`` in ``tests/oracles.py`` is the same step
-    written with quaternion helpers and must match it bit for bit.  For an
-    axisymmetric tensor the choice of the one-rotation drift is made once per
+    back; an aligned tensor's structure frame is its principal frame, so its
+    state makes no move.  ``propagate_reference`` in ``tests/oracles.py`` is
+    the same step written with quaternion helpers and must match it bit for
+    bit.  Which rotations of the free flow a substep runs is decided once per
     call, and a run whose wheel holds no momentum and applies no torque does
     no wheel work.  This is the simulation hot path.
 
@@ -168,42 +192,44 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_sub < 1:
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
-    ax, ay, az, bx, by, bz, cx, cy, cz, i1, i2, i3, e0, e1, e2, e3, d1, d3 = J.kernel
+    (aligned, ax, ay, az, bx, by, bz, cx, cy, cz, i1, i2, i3, e0, e1, e2, e3, f1, f2, f3,
+     d1, d3, gn, n1, n2, n3) = J.kernel
     tx, ty, tz = torque
     (q0, q1, q2, q3), (wx, wy, wz), hw, t = state
     step = dt / n_sub
-
-    # Into the principal frame: H = diag(I) V^T omega, the half-step torque
-    # impulse V^T tau step / 2, and the attitude of the principal axes q (x) e.
-    h1 = i1 * (ax * wx + ay * wy + az * wz)
-    h2 = i2 * (bx * wx + by * wy + bz * wz)
-    h3 = i3 * (cx * wx + cy * wy + cz * wz)
     kick = 0.5 * step
-    k1 = kick * (ax * tx + ay * ty + az * tz)
-    k2 = kick * (bx * tx + by * ty + bz * tz)
-    k3 = kick * (cx * tx + cy * ty + cz * tz)
-    q0, q1, q2, q3 = (q0 * e0 - q1 * e1 - q2 * e2 - q3 * e3,
-                      q0 * e1 + q1 * e0 + q2 * e3 - q3 * e2,
-                      q0 * e2 - q1 * e3 + q2 * e0 + q3 * e1,
-                      q0 * e3 + q1 * e2 - q2 * e1 + q3 * e0)
+    if aligned:  # H = diag(I) omega and the half-step torque impulse tau step / 2
+        h1, h2, h3 = i1 * wx, i2 * wy, i3 * wz
+        k1, k2, k3 = kick * tx, kick * ty, kick * tz
+    else:
+        # Into the principal frame: H = diag(I) V^T omega, the half-step torque
+        # impulse V^T tau step / 2, and the attitude of the principal axes q (x) e.
+        h1 = i1 * (ax * wx + ay * wy + az * wz)
+        h2 = i2 * (bx * wx + by * wy + bz * wz)
+        h3 = i3 * (cx * wx + cy * wy + cz * wz)
+        k1 = kick * (ax * tx + ay * ty + az * tz)
+        k2 = kick * (bx * tx + by * ty + bz * tz)
+        k3 = kick * (cx * tx + cy * ty + cz * tz)
+        q0, q1, q2, q3 = (q0 * e0 - q1 * e1 - q2 * e2 - q3 * e3,
+                          q0 * e1 + q1 * e0 + q2 * e3 - q3 * e2,
+                          q0 * e2 - q1 * e3 + q2 * e0 + q3 * e1,
+                          q0 * e3 + q1 * e2 - q2 * e1 + q3 * e0)
     # Half rotation angles per unit momentum: the Casimir rotation over the
-    # substep, R1 over half of it and R3 over all of it.
+    # substep, R1 over half of it and R3 over all of it.  A rotation whose
+    # angle is exactly zero is skipped.
     casimir = 0.5 * step / i2
     r1 = 0.25 * step * d1
     r3 = 0.5 * step * d3
-    merged = r3 == 0.0  # I2 == I3: R1(h/2) R1(h/2) is one R1(h)
-    if merged:
+    if r3 == 0.0:  # I2 == I3: R1(h/2) R1(h/2) is one R1(h)
         r1 = r1 + r1
+    turn1 = r1 != 0.0
+    turn3 = r3 != 0.0
     wheel = hw != 0.0 or wheel_torque != 0.0
     if wheel:
-        # The total momentum L = H - hw V^T x, the wheel's half-step kick,
-        # and the unit axis n of J^-1 x with the half angle per unit hw of
-        # its flow over half a substep.
+        # The total momentum L = H - hw V^T x, the wheel's half-step kick, and
+        # the half angle per unit hw of its flow about n over half a substep.
         h1, h2, h3 = h1 - hw * ax, h2 - hw * bx, h3 - hw * cx
         kw = kick * wheel_torque
-        g1, g2, g3 = ax / i1, bx / i2, cx / i3
-        gn = sqrt(g1 * g1 + g2 * g2 + g3 * g3)
-        n1, n2, n3 = g1 / gn, g2 / gn, g3 / gn
         spin = 0.25 * step * gn
 
     try:
@@ -240,23 +266,26 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
                                   q0 * x + q1 * c + q2 * z - q3 * y,
                                   q0 * y - q1 * z + q2 * c + q3 * x,
                                   q0 * z + q1 * y - q2 * x + q3 * c)
-            a = r1 * h1
-            c, s = cos(a), sin(a)
-            cc, ss = c * c - s * s, 2.0 * s * c
-            h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
-            q0, q1, q2, q3 = q0 * c - q1 * s, q0 * s + q1 * c, q2 * c + q3 * s, q3 * c - q2 * s
-            if not merged:
-                a = r3 * h3
-                c, s = cos(a), sin(a)
-                cc, ss = c * c - s * s, 2.0 * s * c
-                h1, h2 = cc * h1 + ss * h2, cc * h2 - ss * h1
-                q0, q1, q2, q3 = q0 * c - q3 * s, q1 * c + q2 * s, q2 * c - q1 * s, q0 * s + q3 * c
+            if turn1:
                 a = r1 * h1
                 c, s = cos(a), sin(a)
                 cc, ss = c * c - s * s, 2.0 * s * c
                 h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
                 q0, q1, q2, q3 = (q0 * c - q1 * s, q0 * s + q1 * c,
                                   q2 * c + q3 * s, q3 * c - q2 * s)
+            if turn3:
+                a = r3 * h3
+                c, s = cos(a), sin(a)
+                cc, ss = c * c - s * s, 2.0 * s * c
+                h1, h2 = cc * h1 + ss * h2, cc * h2 - ss * h1
+                q0, q1, q2, q3 = q0 * c - q3 * s, q1 * c + q2 * s, q2 * c - q1 * s, q0 * s + q3 * c
+                if turn1:
+                    a = r1 * h1
+                    c, s = cos(a), sin(a)
+                    cc, ss = c * c - s * s, 2.0 * s * c
+                    h2, h3 = cc * h2 + ss * h3, cc * h3 - ss * h2
+                    q0, q1, q2, q3 = (q0 * c - q1 * s, q0 * s + q1 * c,
+                                      q2 * c + q3 * s, q3 * c - q2 * s)
             if wheel:
                 h1, h2, h3 = (m11 * h1 + m12 * h2 + m13 * h3, m21 * h1 + m22 * h2 + m23 * h3,
                               m31 * h1 + m32 * h2 + m33 * h3)
@@ -269,12 +298,11 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     except ValueError as exc:  # cos and sin of an infinite angle
         raise _runaway(t, step) from exc
 
-    # Back to the structure frame: q (x) conj(e) and omega = V diag(I)^-1 H.
-    e1, e2, e3 = -e1, -e2, -e3
-    q0, q1, q2, q3 = (q0 * e0 - q1 * e1 - q2 * e2 - q3 * e3,
-                      q0 * e1 + q1 * e0 + q2 * e3 - q3 * e2,
-                      q0 * e2 - q1 * e3 + q2 * e0 + q3 * e1,
-                      q0 * e3 + q1 * e2 - q2 * e1 + q3 * e0)
+    if not aligned:  # back to the structure frame: q (x) conj(e)
+        q0, q1, q2, q3 = (q0 * e0 - q1 * f1 - q2 * f2 - q3 * f3,
+                          q0 * f1 + q1 * e0 + q2 * f3 - q3 * f2,
+                          q0 * f2 - q1 * f3 + q2 * e0 + q3 * f1,
+                          q0 * f3 + q1 * f2 - q2 * f1 + q3 * e0)
     n = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if not (n > 0.0 and isfinite(n + h1 + h2 + h3)):
         raise _runaway(t, step)
@@ -289,12 +317,13 @@ def propagate(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt: float,
     if wheel:  # H = L + hw V^T x
         h1, h2, h3 = h1 + hw * ax, h2 + hw * bx, h3 + hw * cx
     w1, w2, w3 = h1 / i1, h2 / i2, h3 / i3
+    if not aligned:  # omega = V diag(I)^-1 H
+        w1, w2, w3 = (w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,
+                      w1 * az + w2 * bz + w3 * cz)
     new = tuple.__new__
     return new(AttitudeState, (
         new(Quat, (q0 + 0.0, q1 + 0.0, q2 + 0.0, q3 + 0.0)),  # + 0.0 turns -0.0 into 0.0
-        new(Vec3, (w1 * ax + w2 * bx + w3 * cx, w1 * ay + w2 * by + w3 * cy,
-                   w1 * az + w2 * bz + w3 * cz)),
-        hw, t + dt))
+        new(Vec3, (w1, w2, w3)), hw, t + dt))
 
 
 def _runaway(t: float, step: float) -> NonFiniteStateError:

@@ -262,14 +262,16 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
     """The kick-drift-kick splitting step of ``propagate``, written plainly.
 
     In the principal frame of ``J``, ``H`` is the total momentum ``J omega -
-    hw x``.  Each of the ``n_sub`` substeps of length ``h`` adds half the
-    torque impulse to ``H`` and half the wheel impulse to ``hw``, turns the
-    body by ``hw J^-1 x h / 2`` (the wheel's flow, when the wheel holds
-    momentum or applies torque), turns it about ``H`` by ``|H| h / I2``, runs
-    ``R1(h/2) R3(h) R1(h/2)`` (a single ``R1(h)`` when ``R3``'s coefficient is
-    zero), turns it by the wheel's flow again, and adds the other halves.
-    ``H`` turns against each body turn.  The arithmetic is the kernel's, in
-    the same order, so the results agree bit for bit.
+    hw x``; for an aligned ``J`` that frame is the structure frame and no
+    change of frame is made.  Each of the ``n_sub`` substeps of length ``h``
+    adds half the torque impulse to ``H`` and half the wheel impulse to
+    ``hw``, turns the body by ``hw J^-1 x h / 2`` (the wheel's flow, when the
+    wheel holds momentum or applies torque), turns it about ``H`` by ``|H| h /
+    I2``, runs ``R1(h/2) R3(h) R1(h/2)`` (a single ``R1(h)`` when ``R3``'s
+    coefficient is zero) less any rotation whose coefficient is zero, turns
+    it by the wheel's flow again, and adds the other halves.  ``H`` turns
+    against each body turn.  The arithmetic is the kernel's, in the same
+    order, so the results agree bit for bit.
 
     Raises:
         ValueError: on a non-positive or non-finite ``dt``, or ``n_sub < 1``.
@@ -286,18 +288,24 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
     hw = state.wheel_momentum
     wheel = hw != 0.0 or wheel_torque != 0.0
     x_axis = [v[0] for v in axes]  # body x in the principal frame
-    H = [i * vdot(v, state.omega) for i, v in zip(moments, axes)]
+    if J.aligned:
+        H = [i * w for i, w in zip(moments, state.omega)]
+        kick = [0.5 * step * c for c in torque]
+        q = state.q
+    else:
+        H = [i * vdot(v, state.omega) for i, v in zip(moments, axes)]
+        kick = [0.5 * step * vdot(v, torque) for v in axes]
+        q = quat_multiply(state.q, e)
     if wheel:
         H = [h - hw * x for h, x in zip(H, x_axis)]
-    kick = [0.5 * step * vdot(v, torque) for v in axes]
     wheel_kick = 0.5 * step * wheel_torque
     g = Vec3(*(x / i for x, i in zip(x_axis, moments)))  # J^-1 x
     g_hat = Vec3(*(c / vnorm(g) for c in g))
-    q = quat_multiply(state.q, e)
     casimir = 0.5 * step / i2
     r1 = 0.25 * step * (1.0 / i1 - 1.0 / i2)
     r3 = 0.5 * step * (1.0 / i3 - 1.0 / i2)
     sequence = ((0, r1 + r1),) if r3 == 0.0 else ((0, r1), (2, r3), (0, r1))
+    sequence = [(i, r) for i, r in sequence if r != 0.0]
     message = (f"state left the finite domain in the step from t={state.t:.6g}s "
                f"(substep {step:g} s)")
     try:
@@ -324,7 +332,8 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
             H = [h + k for h, k in zip(H, kick)]
     except ValueError as exc:
         raise NonFiniteStateError(message) from exc
-    q = quat_multiply(q, quat_conjugate(e))
+    if not J.aligned:
+        q = quat_multiply(q, quat_conjugate(e))
     n = quat_norm(q)
     if not (n > 0.0 and math.isfinite(n + H[0] + H[1] + H[2])):
         raise NonFiniteStateError(message)
@@ -332,7 +341,11 @@ def propagate_reference(state: AttitudeState, J: InertiaTensor, torque: Vec3, dt
     if wheel:
         H = [h + hw * x for h, x in zip(H, x_axis)]
     w = [h / i for h, i in zip(H, moments)]
-    omega = Vec3(*(w[0] * axes[0][j] + w[1] * axes[1][j] + w[2] * axes[2][j] for j in range(3)))
+    if J.aligned:
+        omega = Vec3(*w)
+    else:
+        omega = Vec3(*(w[0] * axes[0][j] + w[1] * axes[1][j] + w[2] * axes[2][j]
+                       for j in range(3)))
     return AttitudeState(q, omega, hw, state.t + dt)
 
 

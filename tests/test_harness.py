@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -132,6 +133,19 @@ def test_assemble_defaults_to_the_stowed_flight_catalog():
     # the exact stack is collinear; the floor makes the z axis propagatable
     assert min(inertia_tensor(asm.catalog).diagonal()) == pytest.approx(0.0, abs=1e-15)
     assert min(asm.inertia.principal_moments) == pytest.approx(5e-3, rel=1e-12)
+
+
+def test_every_preset_integrates_an_aligned_tensor():
+    """The flight stack, with its regolith stowed or on the z axis, has its
+    principal axes along the structure axes, so ``propagate`` runs it
+    without a change of frame; a catalog edit that tilts the stack would
+    lose that path silently."""
+    for mode in harness.MODES:
+        s = default_scenario(mode)
+        J = assemble(s).inertia
+        assert J.aligned, mode
+        if s.regolith_policy == "stowed":
+            assert J.principal_moments == (0.015641505454545453, 0.015641505454545453, 5e-3)
 
 
 def test_assemble_fixed_regolith_moves_the_payload():
@@ -323,6 +337,30 @@ def test_a_metrics_only_run_keeps_no_rows_in_memory():
         tracemalloc.stop()
     assert res.steps == 6000
     assert peak < 1_000_000
+
+
+def test_numpy_initial_state_gives_the_bytes_of_plain_floats():
+    """Numpy scalars in the initial state or the regolith position reach
+    neither the telemetry nor the summary: the run writes the bytes of the
+    same plain floats."""
+    def outputs(vector):
+        s = default_scenario("safe", duration_s=5.0,
+                             q0=Quat(*vector([1.0, 0.2, 0.1, 0.0])),
+                             omega0_radps=Vec3(*vector([0.01, 0.02, 0.0])),
+                             sun_inertial=Vec3(*vector([1.0, 0.5, 0.0])),
+                             wheel_momentum0_nms=vector([2e-4])[0],
+                             regolith_policy="fixed",
+                             regolith_fixed_cm=Vec3(*vector([0.5, -0.5, 5.0])))
+        assert all(type(x) is float for x in (*s.q0, *s.omega0_radps, *s.sun_inertial,
+                                               s.wheel_momentum0_nms, *s.regolith_fixed_cm))
+        telemetry, result = run_scenario(s)
+        csv_text = io.StringIO()
+        telemetry.to_csv(csv_text)
+        return csv_text.getvalue(), json.dumps(result.to_dict(), indent=2)
+
+    csv_text, summary = outputs(np.array)
+    assert "np." not in csv_text and "np." not in summary
+    assert (csv_text, summary) == outputs(list)
 
 
 def test_run_result_is_json_serializable():

@@ -234,6 +234,7 @@ J_OFF_DIAGONAL = InertiaTensor(np.array([[2.0, 0.1, 0.0],
                                          [0.0, -0.2, 3.0]]))
 J_FLIGHT = InertiaTensor.diagonal(0.015641505454545453, 0.015641505454545453, 5e-3)
 J_OBLATE = InertiaTensor.diagonal(1.5, 1.5, 2.5)
+J_ODD_Y = InertiaTensor.diagonal(1.5, 2.5, 1.5)  # diagonal, but y is not the middle moment
 
 unit_quats = st.builds(
     Quat, *[st.floats(-1.0, 1.0)] * 4,
@@ -248,8 +249,8 @@ def _max_error(a, b):
     return max(dq, *(abs(x - y) for x, y in zip(a.omega, b.omega)))
 
 
-@pytest.mark.parametrize("J", [J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE],
-                         ids=["diag123", "off-diagonal", "flight", "oblate"])
+@pytest.mark.parametrize("J", [J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE, J_ODD_Y],
+                         ids=["diag123", "off-diagonal", "flight", "oblate", "odd-y"])
 def test_principal_frame_is_a_right_handed_eigenbasis(J):
     axes = np.array(J.principal_axes).T  # columns
     moments = J.principal_moments
@@ -258,7 +259,10 @@ def test_principal_frame_is_a_right_handed_eigenbasis(J):
     assert np.allclose(axes @ np.diag(moments) @ axes.T, J.matrix,
                        rtol=0.0, atol=1e-14 * np.abs(J.matrix).max())
     assert sorted(moments)[1] == moments[1]  # the middle moment is second
-    if len(set(moments)) == 2:  # an equal pair is second and third
+    if J.aligned:  # the structure axes, with the moments in (Jxx, Jyy, Jzz) order
+        assert J.principal_frame == IDENTITY
+        assert moments == tuple(J.matrix.diagonal())
+    elif len(set(moments)) == 2:  # an equal pair is second and third
         assert moments[1] == moments[2]
     for k in range(3):  # R(principal_frame) has the axes as columns
         e_k = Vec3(*np.eye(3)[k])
@@ -266,11 +270,45 @@ def test_principal_frame_is_a_right_handed_eigenbasis(J):
                            rtol=0.0, atol=1e-14)
 
 
+def test_a_diagonal_tensor_is_aligned_when_its_y_moment_is_the_middle_one():
+    for J in (J123, J_FLIGHT, J_OBLATE, InertiaTensor.diagonal(3.0, 2.0, 1.0),
+              InertiaTensor.diagonal(2.0, 2.0, 2.0)):
+        assert J.aligned and J.kernel[0] is True
+    for J in (J_OFF_DIAGONAL, J_ODD_Y, InertiaTensor.diagonal(2.0, 1.0, 3.0),
+              InertiaTensor(np.diag([1.0, 2.0, 3.0]) + np.diag([0.0, 1e-300], 1)
+                            + np.diag([0.0, 1e-300], -1))):
+        assert not J.aligned and J.kernel[0] is False
+
+
+signed_components = st.sampled_from([0.0, -0.0]) | st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=200)
+@given(unit_quats, st.builds(Vec3, *[signed_components] * 3),
+       st.builds(Vec3, *[st.sampled_from([0.0, -0.0]) | st.floats(-1e-3, 1e-3)] * 3),
+       st.sampled_from([0.0, -0.0]) | st.floats(-0.01, 0.01),
+       st.sampled_from([0.0, -0.0]) | st.floats(-1e-3, 1e-3),
+       st.integers(1, 12), st.sampled_from([J123, J_FLIGHT, J_OBLATE]))
+@example(IDENTITY, Vec3(-0.0, 0.0, -0.0), ZERO3, 0.0, 0.0, 1, J_FLIGHT)
+@example(IDENTITY, Vec3(-0.0, 0.3, -0.0), Vec3(0.0, -0.0, 1e-4), 0.004, 0.0, 2, J_FLIGHT)
+@example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(0.2, -0.0, -0.1), ZERO3, -0.0, 1e-3, 3, J_OBLATE)
+@example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(-0.0, -0.0, 0.4), ZERO3, 0.002, -1e-3, 4, J123)
+def test_aligned_tensors_match_the_reference_step_signed_zeros_too(q, w, tau, hw, tau_rw,
+                                                                    n_sub, J):
+    """An aligned tensor steps in the structure frame, without and with a
+    wheel; the reference makes the same choice and agrees to the sign of
+    every zero."""
+    start = _state(q, w, hw, 3.0)
+    fused = propagate(start, J, tau, 0.1, n_sub, wheel_torque=tau_rw)
+    assert repr(fused) == repr(propagate_reference(start, J, tau, 0.1, n_sub,
+                                                   wheel_torque=tau_rw))
+
+
 @settings(max_examples=200)
 @given(unit_quats, tumble_rates, torques, st.just(0.0) | st.floats(-0.01, 0.01),
        st.just(0.0) | st.floats(-1e-3, 1e-3),
        st.floats(0.0, 1e4), st.floats(0.01, 0.1), st.integers(1, 12),
-       st.sampled_from([J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE]))
+       st.sampled_from([J123, J_OFF_DIAGONAL, J_FLIGHT, J_OBLATE, J_ODD_Y]))
 @example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(3.7, 3.7, 3.7), Vec3(2e-6, -1e-6, 5e-7),
          0.004, 0.0, 12.3, 0.1, 1, J_OFF_DIAGONAL)
 @example(Quat(0.5, 0.5, -0.5, 0.5), Vec3(3.7, 3.7, 3.7), Vec3(2e-6, -1e-6, 5e-7),
@@ -318,22 +356,33 @@ def test_torque_free_step_is_exact_for_the_axisymmetric_flight_inertia():
     assert _max_error(propagate(start, J_FLIGHT, ZERO3, dt, 1), closed) < 1e-12
 
 
-def test_propagate_converges_at_second_order():
+def _assert_second_order(J):
     """Halving the substep quarters the error against a fine RK4, with torque,
     without and with a held wheel momentum (whose gyroscopic term RK4
     evaluates from the state)."""
     tau = Vec3(0.3, -0.2, 0.25)
-    dyn = make_rigid_body_dynamics(J_OFF_DIAGONAL, tau)
+    dyn = make_rigid_body_dynamics(J, tau)
     for hw in (0.0, 0.6):
         start = _state(normalize_canonical(Quat(0.3, -0.5, 0.2, 0.7)), Vec3(0.7, -1.1, 0.9), hw)
         ref = start
         for _ in range(4000):
             ref = rk4_step(ref, dyn, 0.4 / 4000)
-        errors = [_max_error(propagate(start, J_OFF_DIAGONAL, tau, 0.4, n), ref)
-                  for n in (1, 2, 4, 8)]
+        errors = [_max_error(propagate(start, J, tau, 0.4, n), ref) for n in (1, 2, 4, 8)]
         assert errors[0] < 1e-3
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.8 < coarse / fine < 4.2, (hw, errors)
+
+
+def test_propagate_converges_at_second_order():
+    _assert_second_order(J_OFF_DIAGONAL)
+
+
+def test_an_aligned_step_converges_at_second_order():
+    """diag(2, 2.5, 3), J_OFF_DIAGONAL's diagonal, runs all three rotations in
+    the structure frame."""
+    J = InertiaTensor.diagonal(2.0, 2.5, 3.0)
+    assert J.aligned
+    _assert_second_order(J)
 
 
 def _total_momentum_in_orbit_frame(state, J):

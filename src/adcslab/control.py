@@ -22,7 +22,11 @@ vector part of the sign-canonicalized attitude quaternion itself.
 :func:`error_state` forms it with the rate error against a target rate; both
 laws read the state directly and match it bit for bit.  The laws and
 actuator models run every step and return plain tuples, unpacked by
-position; each docstring gives the order.
+position; each docstring gives the order.  For the same reason every clamp,
+and the finiteness test and rate norm of :func:`mode_transition`, is
+written in place as a conditional expression rather than a helper call;
+``clamp`` in ``tests/oracles.py`` is the per-axis clamp they must match bit
+for bit, NaN and signed zeros included.
 
 Magnetorquer allocation runs at two fidelities: IDEAL treats the commanded
 torque as directly realizable up to a per-axis clamp; PHYSICAL converts it to
@@ -38,8 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from math import isfinite, sqrt
 
-from .quatmath import ZERO3, Quat, Vec3, visfinite, vnorm
+from .quatmath import ZERO3, Quat, Vec3
 
 __all__ = [
     "Gains",
@@ -189,14 +194,6 @@ def spin_torques(omega: Vec3, omega_x_target: float,
             (0.0, -k2 * omega[1], -k2 * omega[2]))
 
 
-def _clamp(v: float, limit: float) -> float:
-    if v > limit:
-        return limit
-    if v < -limit:
-        return -limit
-    return v
-
-
 def allocate_magnetorquer(
     tau_desired: Vec3,
     b_body: Vec3,
@@ -241,7 +238,9 @@ def allocate_magnetorquer(
     my = (bz * tau_desired[0] - bx * tau_desired[2]) / b2
     mz = (bx * tau_desired[1] - by * tau_desired[0]) / b2
     lim = limits.max_dipole_am2
-    cmx, cmy, cmz = _clamp(mx, lim), _clamp(my, lim), _clamp(mz, lim)
+    cmx = lim if mx > lim else -lim if mx < -lim else mx
+    cmy = lim if my > lim else -lim if my < -lim else my
+    cmz = lim if mz > lim else -lim if mz < -lim else mz
     dipole = (cmx, cmy, cmz)
     tau = (cmy * bz - cmz * by, cmz * bx - cmx * bz, cmx * by - cmy * bx)
     return tau, dipole, dipole != (mx, my, mz)
@@ -258,7 +257,8 @@ def wheel_step(tau_commanded: float, momentum: float, limits: ActuatorLimits,
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    tau = _clamp(tau_commanded, limits.max_wheel_torque_nm)
+    lim = limits.max_wheel_torque_nm
+    tau = lim if tau_commanded > lim else -lim if tau_commanded < -lim else tau_commanded
     saturated = tau != tau_commanded
     h_next = momentum + tau * dt
     h_lim = limits.max_wheel_momentum_nms
@@ -287,11 +287,14 @@ def mode_transition(
     holds it (NOMINAL -> SPIN, SPIN -> DESPIN, any -> SAFE, and SAFE -> NOMINAL
     as the explicit release) and ignored otherwise; SAFE has no autonomous exit.
     """
-    if not visfinite(omega):
+    wx, wy, wz = omega
+    if not isfinite(wx + wy + wz):  # visfinite(omega)
         return Mode.SAFE
-    if command in ALLOWED_TRANSITIONS[mode]:
+    # None is in no set; skipping the lookup skips the Enum.__hash__ call
+    # (Python code) that indexing the table by ``mode`` makes.
+    if command is not None and command in ALLOWED_TRANSITIONS[mode]:
         return command
-    speed = vnorm(omega)
+    speed = sqrt(wx * wx + wy * wy + wz * wz)  # vnorm(omega)
     if mode is Mode.DETUMBLE and speed < thresholds.detumble_exit_radps:
         return Mode.NOMINAL
     if mode is Mode.DESPIN and speed < thresholds.despin_exit_radps:

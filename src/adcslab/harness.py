@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from math import sqrt
 from statistics import fmean
 from typing import Iterable, Sequence, TextIO
 
@@ -63,6 +64,7 @@ from .massmodel import (
     bundled_catalog,
     compute_cg,
     inertia_tensor,
+    read_number,
     sample_regolith,
 )
 from .quatmath import (
@@ -76,7 +78,6 @@ from .quatmath import (
     quat_norm,
     quat_to_euler,
     rotate_orbit_to_body,
-    vdot,
     visfinite,
     vnorm,
 )
@@ -141,6 +142,14 @@ _HOLD_METRICS = ("detumble_time_s", "spin_settle_time_s", "despin_time_s", "alig
 _PRIMARY_METRIC = {"detumble": 0, "spin": 1, "despin": 2, "nominal": 3, "conops": 3}
 
 
+# The scalar Scenario fields, each stored as a plain float; the optional ones
+# may also be None.  A bool or a non-number is rejected, here and in the
+# vector fields.
+_FLOAT_FIELDS = ("dt_s", "duration_s", "spin_target_rpm", "settle_band", "align_tolerance_deg",
+                 "min_principal_inertia_kgm2", "dipole_tilt_deg", "wheel_momentum0_nms")
+_OPTIONAL_FLOAT_FIELDS = ("duration_orbits", "env_update_every_s", "telemetry_cadence_s")
+
+
 class DivergenceError(RuntimeError):
     """The propagated state left the finite domain mid-run, in ``mode``."""
 
@@ -203,13 +212,18 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # Numpy scalars would reach the telemetry and the summary as
-        # np.float64(...); the vectors and the wheel momentum are kept as
-        # plain floats.
+        # np.float64(...), and an int dt_s would write t_s as 1, 2, ...; the
+        # vectors and the scalars are kept as plain floats.
         for name, kind in (("q0", Quat), ("omega0_radps", Vec3), ("sun_inertial", Vec3),
                            ("regolith_fixed_cm", Vec3)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, kind(*map(float, getattr(self, name))))
-        object.__setattr__(self, "wheel_momentum0_nms", float(self.wheel_momentum0_nms))
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, kind(*(read_number(v, f"{name}[{i}]", ValueError)
+                                                      for i, v in enumerate(value))))
+        for name in (*_FLOAT_FIELDS, *_OPTIONAL_FLOAT_FIELDS):
+            value = getattr(self, name)
+            if value is not None or name in _FLOAT_FIELDS:
+                object.__setattr__(self, name, read_number(value, name, ValueError))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.regolith_policy == "fixed" and self.regolith_fixed_cm is None:
@@ -562,7 +576,9 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         t = k * dt
         if k % env_every == 0:
             orbit_env = orbit_frame_sample(cfg, t, s.sun_inertial, s.dipole_tilt_deg)
-            tau_d = total_disturbance(s.geometry, orbit_env.to_body(q), J, cg_m, include)
+            b_orbit = orbit_env.b_orbit_tesla
+            tdx, tdy, tdz = total_disturbance(s.geometry, orbit_env.to_body(q), J, cg_m,
+                                              include)
 
         if conops:
             new_mode = mode_transition(mode, omega, thresholds, schedule.get(k))
@@ -572,7 +588,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
 
         hw_next = hw
         # IDEAL allocation clamps the torque per axis and never reads the field.
-        b_ctrl = rotate_orbit_to_body(q, orbit_env.b_orbit_tesla) if physical else ZERO3
+        b_ctrl = rotate_orbit_to_body(q, b_orbit) if physical else ZERO3
         tau_rw = 0.0
         if mode is SAFE:
             tau_m = ZERO3
@@ -593,15 +609,20 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
 
         if abs(hw_next) > max_hw:
             max_hw = abs(hw_next)
+        # The norms and the dot product below are vnorm's and vdot's
+        # expressions, written in place.
+        tmx, tmy, tmz = tau_m
         if physical:
-            tm_norm = vnorm(tau_m)
-            b_norm = vnorm(b_ctrl)
+            bx, by, bz = b_ctrl
+            tm_norm = sqrt(tmx * tmx + tmy * tmy + tmz * tmz)
+            b_norm = sqrt(bx * bx + by * by + bz * bz)
             if tm_norm > 0.0 and b_norm > 0.0:
-                rel = abs(vdot(tau_m, b_ctrl)) / (tm_norm * b_norm)
+                rel = abs(tmx * bx + tmy * by + tmz * bz) / (tm_norm * b_norm)
                 if rel > max_tau_b:
                     max_tau_b = rel
 
-        speed = vnorm(omega)
+        wx, wy, wz = omega
+        speed = sqrt(wx * wx + wy * wy + wz * wz)  # vnorm(omega)
         if k % tel_every == 0:
             record(t, q, omega, speed, hw, tau_m, tau_rw, mode)
 
@@ -615,10 +636,9 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         n_sub = math.ceil(phases) if phases > 1.0 else 1
         # propagate only unpacks its state and the held torque, so plain
         # tuples carry them.
-        tau_ext = (tau_m[0] + tau_d[0], tau_m[1] + tau_d[1], tau_m[2] + tau_d[2])
         try:
-            q, omega, _, _ = propagate((q, omega, hw, t), J, tau_ext, dt, n_sub,
-                                       wheel_torque=tau_rw)
+            q, omega, _, _ = propagate((q, omega, hw, t), J,
+                                       (tmx + tdx, tmy + tdy, tmz + tdz), dt, n_sub, tau_rw)
         except NonFiniteStateError as exc:
             raise DivergenceError(k, t, mode.value, str(exc)) from exc
         # The wheel keeps wheel_step's momentum, which lands on the stop

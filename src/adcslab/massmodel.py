@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -305,9 +306,10 @@ def catalog_from_dict(data: dict, name: str = "catalog") -> MassCatalog:
 
 
 def read_number(obj, where: str, error: type[ValueError]) -> float:
-    """``obj`` as a float; JSON booleans and strings are not numbers and raise
-    ``error`` naming ``where``, as does an integer beyond the float range."""
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+    """``obj`` as a plain float.  Any real number is read, numpy scalars too;
+    booleans, strings and other non-numbers raise ``error`` naming ``where``,
+    as does an integer beyond the float range."""
+    if isinstance(obj, bool) or not isinstance(obj, Real):
         raise error(f"{where}: expected a number, got {obj!r}")
     try:
         return float(obj)

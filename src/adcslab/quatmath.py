@@ -20,7 +20,9 @@ Conventions
   the same rotation, so this only fixes a deterministic representative.
 * Euler angles use the intrinsic 3-2-1 (yaw-pitch-roll) sequence, reported in
   degrees with roll/yaw in (-180, 180] and pitch in [-90, 90].  They exist for
-  telemetry and plotting; all propagation is quaternion-based.
+  telemetry and plotting; all propagation is quaternion-based.  Roll and yaw
+  are ``atan2`` in degrees, already in [-180, 180], so the wrap is one fold
+  of -180 onto 180, written in place (see :func:`quat_to_euler`).
 
 These functions are deliberately plain tuple arithmetic: they sit on the
 simulation hot path where small-array numpy overhead dominates the cost.
@@ -32,7 +34,7 @@ which skips the generated ``__new__``; their types are unchanged.
 from __future__ import annotations
 
 import math
-from math import asin, atan2, degrees, fmod, isfinite, sqrt
+from math import asin, atan2, degrees, isfinite, sqrt
 from typing import NamedTuple
 
 
@@ -133,21 +135,17 @@ def rotate_orbit_to_body(q: Quat, v: Vec3) -> Vec3:
 # Euler angles (3-2-1 intrinsic, degrees) -- telemetry/plotting only
 # ---------------------------------------------------------------------------
 
-def _wrap_deg(angle: float) -> float:
-    """Map an angle in degrees to (-180, 180]."""
-    a = fmod(angle, 360.0)
-    if a <= -180.0:
-        a += 360.0
-    elif a > 180.0:
-        a -= 360.0
-    return a
-
-
 def quat_to_euler(q: Quat) -> tuple[float, float, float]:
     """3-2-1 (roll, pitch, yaw) of the body relative to the orbit frame, degrees.
 
     At the pitch singularity (|pitch| = 90 deg) roll and yaw are not separable;
     the convention here is roll = 0 with the residual rotation folded into yaw.
+
+    Roll and yaw come from ``atan2``, which lies in [-pi, pi], and
+    ``degrees`` maps its ends to exactly -180.0 and 180.0.  So wrapping them
+    to (-180, 180] only folds -180.0 onto 180.0 (``atan2(-0.0, x < 0)``);
+    ``wrap_deg`` in ``tests/oracles.py`` is the general wrap they must match
+    bit for bit.
     """
     q0, q1, q2, q3 = q
     sin_pitch = 2.0 * (q0 * q2 - q1 * q3)
@@ -155,15 +153,18 @@ def quat_to_euler(q: Quat) -> tuple[float, float, float]:
         sin_pitch = 1.0
     elif sin_pitch < -1.0:
         sin_pitch = -1.0
+    yaw = degrees(atan2(2.0 * (q1 * q2 + q0 * q3), 1.0 - 2.0 * (q2 * q2 + q3 * q3)))
     if abs(sin_pitch) >= 1.0 - 1e-12:
         pitch = math.copysign(90.0, sin_pitch)
         roll = 0.0
-        yaw = degrees(atan2(2.0 * (q1 * q2 + q0 * q3), 1.0 - 2.0 * (q2 * q2 + q3 * q3)))
     else:
         pitch = degrees(asin(sin_pitch))
         roll = degrees(atan2(2.0 * (q2 * q3 + q0 * q1), 1.0 - 2.0 * (q1 * q1 + q2 * q2)))
-        yaw = degrees(atan2(2.0 * (q1 * q2 + q0 * q3), 1.0 - 2.0 * (q2 * q2 + q3 * q3)))
-    return (_wrap_deg(roll), pitch, _wrap_deg(yaw))
+        if roll <= -180.0:
+            roll += 360.0
+    if yaw <= -180.0:
+        yaw += 360.0
+    return (roll, pitch, yaw)
 
 
 def quat_from_euler(roll_deg: float, pitch_deg: float, yaw_deg: float) -> Quat:

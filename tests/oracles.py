@@ -7,7 +7,10 @@ that it is checked against for accuracy; the environment reference forms
 (the orbit, the dipole field, the eclipse test and each disturbance torque,
 one function per formula) compose to what the one-pass refresh in
 :mod:`adcslab.environment` must match bit for bit; the quaternion and
-vector helpers build test inputs and expected values.
+vector helpers build test inputs and expected values; the control and
+Euler-angle reference forms, written with helper calls, are what the
+in-place clamps, wraps and norms of :mod:`adcslab.control` and
+:func:`adcslab.quatmath.quat_to_euler` must match bit for bit.
 
 The tests import this module as ``from oracles import ...``: ``tests/`` has
 no ``__init__.py``, so pytest puts the directory on ``sys.path``.
@@ -16,10 +19,18 @@ no ``__init__.py``, so pytest puts the directory on ``sys.path``.
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable
 
 import numpy as np
 
+from adcslab.control import (
+    ALLOWED_TRANSITIONS,
+    ActuatorLimits,
+    Mode,
+    ModeThresholds,
+    ZeroFieldError,
+)
 from adcslab.environment import (
     EnvironmentSample,
     OrbitConfig,
@@ -38,6 +49,7 @@ from adcslab.quatmath import (
     quat_norm,
     rotate_orbit_to_body,
     vdot,
+    visfinite,
     vnorm,
 )
 from adcslab.rigidbody import AttitudeState, InertiaTensor, NonFiniteStateError
@@ -551,3 +563,107 @@ def total_disturbance_reference(
         g = gravity_gradient_torque(J, env.r_body_m)
         tx += g[0]; ty += g[1]; tz += g[2]
     return Vec3(tx, ty, tz)
+
+
+# ---------------------------------------------------------------------------
+# Control and Euler-angle reference forms
+# ---------------------------------------------------------------------------
+# The clamp, the angle wrap, the norm and the finiteness test as helper
+# calls.  adcslab.control and adcslab.quatmath write each of them in place;
+# the forms below are what those in-place versions must match bit for bit,
+# NaN, the infinities and signed zeros included.
+
+def float_bits(xs) -> list[bytes]:
+    """Each float's IEEE 754 bytes: equal lists are equal bit for bit, NaN too."""
+    return [struct.pack("<d", x) for x in xs]
+
+
+def clamp(v: float, limit: float) -> float:
+    if v > limit:
+        return limit
+    if v < -limit:
+        return -limit
+    return v
+
+
+def wrap_deg(angle: float) -> float:
+    """Map an angle in degrees to (-180, 180]."""
+    a = math.fmod(angle, 360.0)
+    if a <= -180.0:
+        a += 360.0
+    elif a > 180.0:
+        a -= 360.0
+    return a
+
+
+def allocate_physical_reference(tau_desired: Vec3, b_body: Vec3, limits: ActuatorLimits
+                                ) -> tuple[Vec3, Vec3, bool]:
+    """PHYSICAL magnetorquer allocation with the dipole clamped by :func:`clamp`."""
+    bx, by, bz = b_body
+    b2 = bx * bx + by * by + bz * bz
+    if b2 == 0.0:
+        raise ZeroFieldError("cannot allocate a dipole in a zero magnetic field")
+    mx = (by * tau_desired[2] - bz * tau_desired[1]) / b2
+    my = (bz * tau_desired[0] - bx * tau_desired[2]) / b2
+    mz = (bx * tau_desired[1] - by * tau_desired[0]) / b2
+    lim = limits.max_dipole_am2
+    cmx, cmy, cmz = clamp(mx, lim), clamp(my, lim), clamp(mz, lim)
+    dipole = (cmx, cmy, cmz)
+    tau = (cmy * bz - cmz * by, cmz * bx - cmx * bz, cmx * by - cmy * bx)
+    return tau, dipole, dipole != (mx, my, mz)
+
+
+def wheel_step_reference(tau_commanded: float, momentum: float, limits: ActuatorLimits,
+                         dt: float) -> tuple[float, float, bool]:
+    """The wheel's torque clamp by :func:`clamp`, then the momentum stop."""
+    tau = clamp(tau_commanded, limits.max_wheel_torque_nm)
+    saturated = tau != tau_commanded
+    h_next = momentum + tau * dt
+    h_lim = limits.max_wheel_momentum_nms
+    if h_next > h_lim:
+        tau = (h_lim - momentum) / dt
+        h_next = h_lim
+        saturated = True
+    elif h_next < -h_lim:
+        tau = (-h_lim - momentum) / dt
+        h_next = -h_lim
+        saturated = True
+    return tau, h_next, saturated
+
+
+def quat_to_euler_reference(q: Quat) -> tuple[float, float, float]:
+    """3-2-1 Euler angles with roll and yaw wrapped by :func:`wrap_deg`."""
+    q0, q1, q2, q3 = q
+    sin_pitch = 2.0 * (q0 * q2 - q1 * q3)
+    if sin_pitch > 1.0:
+        sin_pitch = 1.0
+    elif sin_pitch < -1.0:
+        sin_pitch = -1.0
+    if abs(sin_pitch) >= 1.0 - 1e-12:
+        pitch = math.copysign(90.0, sin_pitch)
+        roll = 0.0
+        yaw = math.degrees(math.atan2(2.0 * (q1 * q2 + q0 * q3),
+                                      1.0 - 2.0 * (q2 * q2 + q3 * q3)))
+    else:
+        pitch = math.degrees(math.asin(sin_pitch))
+        roll = math.degrees(math.atan2(2.0 * (q2 * q3 + q0 * q1),
+                                       1.0 - 2.0 * (q1 * q1 + q2 * q2)))
+        yaw = math.degrees(math.atan2(2.0 * (q1 * q2 + q0 * q3),
+                                      1.0 - 2.0 * (q2 * q2 + q3 * q3)))
+    return (wrap_deg(roll), pitch, wrap_deg(yaw))
+
+
+def mode_transition_reference(mode: Mode, omega: Vec3, thresholds: ModeThresholds,
+                              command: Mode | None = None) -> Mode:
+    """The mode machine through ``visfinite``, ``vnorm`` and a table lookup
+    for every command, None included."""
+    if not visfinite(omega):
+        return Mode.SAFE
+    if command in ALLOWED_TRANSITIONS[mode]:
+        return command
+    speed = vnorm(omega)
+    if mode is Mode.DETUMBLE and speed < thresholds.detumble_exit_radps:
+        return Mode.NOMINAL
+    if mode is Mode.DESPIN and speed < thresholds.despin_exit_radps:
+        return Mode.NOMINAL
+    return mode

@@ -51,10 +51,10 @@ def detumble_sweep():
     substeps the loop asks for; reused by the timing tests."""
     substeps = 0
 
-    def counting(state, J, torque, dt, n_sub=1, **kwargs):
+    def counting(state, J, torque, dt, n_sub=1, *args, **kwargs):
         nonlocal substeps
         substeps += n_sub
-        return propagate(state, J, torque, dt, n_sub, **kwargs)
+        return propagate(state, J, torque, dt, n_sub, *args, **kwargs)
 
     times = {}
     with pytest.MonkeyPatch.context() as patch:

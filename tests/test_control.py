@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adcslab.control import (
     ALLOWED_TRANSITIONS,
@@ -20,7 +20,14 @@ from adcslab.control import (
     wheel_step,
 )
 from adcslab.quatmath import IDENTITY, RPM_TO_RADPS, Quat, Vec3, vdot, vnorm
-from oracles import quat_from_axis_angle, vcross
+from oracles import (
+    allocate_physical_reference,
+    float_bits,
+    mode_transition_reference,
+    quat_from_axis_angle,
+    vcross,
+    wheel_step_reference,
+)
 
 GAINS = Gains()
 LIMITS = ActuatorLimits()
@@ -220,6 +227,36 @@ def test_physical_allocation_requires_a_field():
                               LIMITS, Fidelity.PHYSICAL)
 
 
+_DIPOLE = LIMITS.max_dipole_am2
+# A unit field along an axis turns a torque component of +-lim into a dipole
+# component of exactly -+lim, so the clamp's boundary is reached, not just
+# approached; a random field covers the rest.
+dipole_torques = (st.floats(-0.5, 0.5) | st.floats()
+                  | st.sampled_from([0.0, -0.0, _DIPOLE, -_DIPOLE,
+                                     math.nan, -math.nan, math.inf, -math.inf]))
+any_fields = (st.sampled_from([Vec3(1.0, 0.0, 0.0), Vec3(0.0, -1.0, 0.0), Vec3(0.0, 0.0, 1.0),
+                               Vec3(-0.0, 0.0, 1.0), Vec3(0.0, 0.0, 0.0)])
+              | st.builds(Vec3, st.floats(), st.floats(), st.floats()))
+
+
+@given(st.builds(Vec3, dipole_torques, dipole_torques, dipole_torques), any_fields)
+@example(Vec3(_DIPOLE, -_DIPOLE, -0.0), Vec3(0.0, 0.0, 1.0))
+@example(Vec3(math.nan, math.inf, -0.0), Vec3(1.0, 0.0, 0.0))
+def test_physical_allocation_is_the_per_axis_dipole_clamp_bit_for_bit(tau, b):
+    """The in-place dipole clamp against ``oracles.clamp``, over every float,
+    NaN, the infinities, signed zeros and the limit itself included."""
+    try:
+        want = allocate_physical_reference(tau, b, LIMITS)
+    except ZeroFieldError:
+        with pytest.raises(ZeroFieldError):
+            allocate_magnetorquer(tau, b, LIMITS, Fidelity.PHYSICAL)
+        return
+    tau_m, dipole, saturated = allocate_magnetorquer(tau, b, LIMITS, Fidelity.PHYSICAL)
+    assert float_bits(tau_m) == float_bits(want[0])
+    assert float_bits(dipole) == float_bits(want[1])
+    assert saturated is want[2]
+
+
 # ------------------------------------------------------------- reaction wheel
 
 def test_wheel_integrates_torque_into_momentum():
@@ -273,6 +310,27 @@ def test_wheel_momentum_never_leaves_the_envelope(h0, commands):
         tau, h, _ = wheel_step(cmd, h, LIMITS, dt=0.5)
         assert abs(h) <= LIMITS.max_wheel_momentum_nms
         assert abs(tau) <= LIMITS.max_wheel_torque_nm
+
+
+_WHEEL = LIMITS.max_wheel_torque_nm
+wheel_torques = (st.floats(-3e-3, 3e-3) | st.floats()
+                 | st.sampled_from([0.0, -0.0, _WHEEL, -_WHEEL,
+                                    math.nan, -math.nan, math.inf, -math.inf]))
+_STOP = LIMITS.max_wheel_momentum_nms
+momenta = (st.floats(-2e-2, 2e-2)
+           | st.sampled_from([0.0, -0.0, _STOP, -_STOP, math.nan, math.inf, -math.inf]))
+
+
+@given(wheel_torques, momenta, st.floats(1e-3, 10.0) | st.floats(min_value=5e-324))
+@example(-_WHEEL, -_STOP + 5e-5, 0.1)
+@example(math.nan, 0.0, 0.1)
+def test_wheel_step_is_its_reference_bit_for_bit(tau, h, dt):
+    """The in-place torque clamp against ``oracles.clamp``, then the
+    momentum stop, NaN, the infinities and signed zeros included."""
+    got = wheel_step(tau, h, LIMITS, dt)
+    want = wheel_step_reference(tau, h, LIMITS, dt)
+    assert float_bits(got[:2]) == float_bits(want[:2])
+    assert got[2] is want[2]
 
 
 # ------------------------------------------------------------- mode machine
@@ -342,6 +400,23 @@ def test_every_transition_follows_the_table():
                 assert got is expected, (mode, command, rate)
                 assert command is not Mode.SAFE or got is Mode.SAFE
                 assert mode is not Mode.SAFE or got in (Mode.SAFE, Mode.NOMINAL)
+
+
+rates = (st.floats(-2e-2, 2e-2) | st.floats()
+         | st.sampled_from([0.0, -0.0, THRESHOLDS.detumble_exit_radps,
+                            THRESHOLDS.despin_exit_radps, math.nan, math.inf, -math.inf]))
+
+
+@given(st.sampled_from(list(Mode)), st.builds(Vec3, rates, rates, rates),
+       st.none() | st.sampled_from(list(Mode)))
+@example(Mode.DETUMBLE, Vec3(math.inf, -math.inf, 0.0), None)
+@example(Mode.DESPIN, Vec3(THRESHOLDS.despin_exit_radps, 0.0, -0.0), None)
+def test_mode_transition_is_the_table_lookup(mode, omega, command):
+    """The in-place finiteness test and norm, and the lookup skipped for no
+    command, against ``visfinite``, ``vnorm`` and the table for every
+    command, None included."""
+    got = mode_transition(mode, omega, THRESHOLDS, command)
+    assert got is mode_transition_reference(mode, omega, THRESHOLDS, command)
 
 
 def test_transition_table_is_reflexive_and_safe_reachable():

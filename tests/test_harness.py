@@ -363,6 +363,53 @@ def test_numpy_initial_state_gives_the_bytes_of_plain_floats():
     assert (csv_text, summary) == outputs(list)
 
 
+_SCALAR_FIELDS = ("dt_s", "duration_s", "duration_orbits", "env_update_every_s",
+                  "telemetry_cadence_s", "spin_target_rpm", "settle_band", "align_tolerance_deg",
+                  "min_principal_inertia_kgm2", "dipole_tilt_deg", "wheel_momentum0_nms")
+
+
+def _outputs(s: Scenario) -> tuple[str, str]:
+    telemetry, result = run_scenario(s)
+    csv_text = io.StringIO()
+    telemetry.to_csv(csv_text)
+    return csv_text.getvalue(), json.dumps(result.to_dict(), indent=2)
+
+
+def test_numeric_fields_are_stored_as_plain_floats():
+    """Numpy scalars and ints in the scalar fields reach neither the
+    telemetry nor the summary: a library run writes ``t_s`` as 0.0, 1.0, ...
+    as the config path does, and a numpy run the bytes of plain floats."""
+    s = Scenario(mode="safe", dt_s=np.float64(0.5), duration_s=np.int64(2),
+                 duration_orbits=np.float32(1e-3), env_update_every_s=np.float64(1.0),
+                 telemetry_cadence_s=1, spin_target_rpm=np.int32(1), settle_band=np.float64(0.01),
+                 align_tolerance_deg=5, min_principal_inertia_kgm2=np.float64(5e-3),
+                 dipole_tilt_deg=np.int64(11), wheel_momentum0_nms=np.float64(0.0))
+    assert all(type(getattr(s, name)) is float for name in _SCALAR_FIELDS)
+    assert Scenario(duration_orbits=None).duration_orbits is None
+
+    ints, _ = _outputs(default_scenario("safe", duration_s=5, dt_s=1))
+    assert ints.splitlines()[1].startswith("0.0,") and ints.splitlines()[2].startswith("1.0,")
+    numpy_csv, numpy_summary = _outputs(
+        default_scenario("safe", duration_s=np.float64(1.0), dt_s=np.float64(0.1)))
+    assert numpy_csv.splitlines()[1].startswith("0.0,")
+    assert "np." not in numpy_csv and "np." not in numpy_summary
+    assert (numpy_csv, numpy_summary) == _outputs(
+        default_scenario("safe", duration_s=1.0, dt_s=0.1))
+
+
+def test_numeric_fields_reject_bools_and_non_numbers():
+    optional = ("duration_orbits", "env_update_every_s", "telemetry_cadence_s")
+    for name in _SCALAR_FIELDS:
+        for bad in (True, np.bool_(False), "0.1", [0.1], 1 + 0j,
+                    *(() if name in optional else (None,))):
+            with pytest.raises(ValueError, match=name):
+                Scenario(**{name: bad})
+    for name, size in (("q0", 4), ("omega0_radps", 3), ("sun_inertial", 3)):
+        for bad in (True, "0.1", None):
+            with pytest.raises(ValueError, match=rf"{name}\[1\]"):
+                Scenario(**{name: (1.0, bad, *[0.0] * (size - 2))})
+
+
 def test_run_result_is_json_serializable():
     res = run_scenario_metrics(default_scenario("spin"))
     blob = json.loads(json.dumps(res.to_dict()))

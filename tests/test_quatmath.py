@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adcslab.quatmath import (
     IDENTITY,
@@ -20,10 +20,12 @@ from adcslab.quatmath import (
     vnorm,
 )
 from oracles import (
+    float_bits,
     quat_conjugate,
     quat_derivative,
     quat_from_axis_angle,
     quat_multiply,
+    quat_to_euler_reference,
     rotate_body_to_orbit,
     vcross,
     vsub,
@@ -184,6 +186,32 @@ def test_euler_round_trip(roll, pitch, yaw):
     assert r == pytest.approx(roll, abs=1e-9)
     assert p == pytest.approx(pitch, abs=1e-9)
     assert y == pytest.approx(yaw, abs=1e-9)
+
+
+# atan2(-0.0, x < 0) is -pi: roll for the first quaternion, yaw for the
+# second, which the wrap folds from -180 onto 180.
+ROLL_FOLD = Quat(-0.0, 1.0, 0.0, -0.0)
+YAW_FOLD = Quat(-0.0, -0.0, 0.0, 1.0)
+
+
+def test_euler_folds_minus_180_onto_180():
+    assert quat_to_euler(ROLL_FOLD) == (180.0, 0.0, 0.0)
+    assert quat_to_euler(YAW_FOLD) == (0.0, 0.0, 180.0)
+
+
+components = (st.floats(-1.0, 1.0) | st.floats()
+              | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, math.sqrt(0.5), -math.sqrt(0.5),
+                                 math.nan, math.inf, -math.inf]))
+
+
+@given(st.builds(Quat, components, components, components, components))
+@example(ROLL_FOLD)
+@example(YAW_FOLD)
+@example(Quat(math.sqrt(0.5), -0.0, math.sqrt(0.5), -0.0))   # the pitch singularity
+def test_euler_is_the_wrapped_form_bit_for_bit(q):
+    """The in-place fold against ``oracles.wrap_deg``, over any quaternion,
+    unnormalized, signed zeros, NaN and the infinities included."""
+    assert float_bits(quat_to_euler(q)) == float_bits(quat_to_euler_reference(q))
 
 
 # ------------------------------------------------------------------- vectors

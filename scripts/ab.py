@@ -4,7 +4,10 @@ Each tree's ``adcslab`` is imported into this process under its own
 ``sys.modules`` snapshot, which is put back in place while that tree runs.
 The script first checks that the two trees give the same outputs: the
 SHA-256 of every run's ``RunResult.to_dict()`` (and, for ``pointing``, of
-the files the CLI writes) must be equal.  It then runs a shortened workload
+the files the CLI writes) must be equal, and prints each tree's
+``tracemalloc`` peak over one more untimed run: the memory the run itself
+allocates, apart from the interpreter and the benchmark's read-back of the
+outputs.  It then runs a shortened workload
 on each tree in ``--pairs`` alternating pairs, the base first in even pairs
 and the head first in odd ones, and prints each pair, the median head/base
 time ratio and the number of pairs the head won.
@@ -32,6 +35,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 from types import ModuleType
@@ -160,6 +164,18 @@ def timed(tree: Tree, run, seed: int) -> tuple[float, list]:
         return time.perf_counter() - t0, outputs
 
 
+def traced_peak(tree: Tree, run, seed: int) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one untimed run on ``tree``."""
+    with tree.active():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run(tree, seed)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, metavar="SRC", help="the tree to compare against")
@@ -179,6 +195,9 @@ def main(argv=None) -> int:
         print(f"ab: outputs differ: base {digests[0]}, head {digests[1]}", file=sys.stderr)
         return 1
     print(f"{args.workload}: outputs equal (sha256 {digests[0][:16]}...)")
+    peaks = {tree.label: traced_peak(tree, run, args.seed) for tree in trees}
+    print(f"traced peak: base {peaks['base'] / 1e6:.3f} MB  head {peaks['head'] / 1e6:.3f} MB  "
+          f"ratio {peaks['head'] / peaks['base']:.4f}")
 
     ratios = []
     for i in range(args.pairs):

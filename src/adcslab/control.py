@@ -44,6 +44,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from math import isfinite, sqrt
 
+from .massmodel import read_number
 from .quatmath import ZERO3, Quat, Vec3
 
 __all__ = [
@@ -72,11 +73,16 @@ class ZeroFieldError(ValueError):
 
 
 def _check_positive_finite(obj, what: str) -> None:
-    """Raise ValueError unless every field of the dataclass ``obj`` is > 0 and finite."""
+    """Store every field of the frozen dataclass ``obj`` as a plain float, read
+    by :func:`~adcslab.massmodel.read_number`, and raise ValueError naming the
+    field unless it is a number > 0 and finite.  A numpy scalar would run the
+    loop on numpy arithmetic and reach the outputs as ``np.float64(...)``, and
+    an int limit would write a clamped cell as ``-1``."""
     for f in fields(obj):
-        v = getattr(obj, f.name)
+        v = read_number(getattr(obj, f.name), f"{what} {f.name}", ValueError)
         if not (0.0 < v < math.inf):
             raise ValueError(f"{what} {f.name} must be > 0 and finite, got {v}")
+        object.__setattr__(obj, f.name, v)
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,8 @@ integration settings.  :func:`run_scenario` steps the closed loop
     sample environment -> disturbance torques -> mode controller ->
     actuator models -> rigidbody.propagate
 
-and returns decimated telemetry plus a :class:`RunResult` of metrics.
+and returns decimated :class:`Telemetry`, one float array of about 138 bytes a
+row, plus a :class:`RunResult` of metrics.
 :func:`run_scenario_metrics`, and so every Monte Carlo member, runs with
 ``telemetry=False``: each sample still feeds the metrics, but no row is built,
 so a run's memory does not grow with its length.  The loop computes no
@@ -30,6 +31,7 @@ so results are bitwise reproducible and independent of worker count.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from math import sqrt
 from statistics import fmean
@@ -129,6 +131,7 @@ TELEMETRY_COLUMNS = (
     "tau_mx_Nm", "tau_my_Nm", "tau_mz_Nm",
     "tau_rw_Nm", "hw_Nms", "mode",
 )
+_NUMERIC_COLUMNS = len(TELEMETRY_COLUMNS) - 1  # every column but the last, "mode"
 
 # Every mode a scenario may run: each controller mode held alone, or conops,
 # which starts in de-tumble and takes any other mode as a scheduled command.
@@ -355,26 +358,38 @@ def assemble(s: Scenario) -> AssembledScenario:
 
 
 class Telemetry:
-    """Decimated run history: one 17-column row per recorded sample."""
+    """Decimated run history: ``len(self)`` samples of the 17
+    ``TELEMETRY_COLUMNS``.
 
-    __slots__ = ("rows",)
+    The 16 numeric columns live in one ``array('d')``, ``values``, row after
+    row, and the mode labels in the list ``modes``: about 138 bytes a row.
+    :meth:`column` is a strided slice of ``values`` (a list of labels for
+    ``"mode"``).  Every numeric cell is a float before it is stored (the
+    scenario, gains and limits hold plain floats), so the array changes no
+    value and the CSV writes each cell's shortest round-trip ``repr``.
+    """
 
-    def __init__(self, rows: list[tuple]) -> None:
-        self.rows = rows
+    __slots__ = ("values", "modes")
+
+    def __init__(self, values: array, modes: list[str]) -> None:
+        self.values = values
+        self.modes = modes
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.modes)
 
-    def column(self, name: str) -> list:
-        i = TELEMETRY_COLUMNS.index(name)
-        return [row[i] for row in self.rows]
+    def column(self, name: str) -> array | list[str]:
+        if name == "mode":
+            return self.modes[:]
+        return self.values[TELEMETRY_COLUMNS.index(name)::_NUMERIC_COLUMNS]
 
     def to_csv(self, fh: TextIO) -> None:
         """Write the telemetry as CSV with shortest round-trip float formatting."""
         fh.write(",".join(TELEMETRY_COLUMNS) + "\n")
-        for row in self.rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-            fh.write("\n")
+        values, width = self.values, _NUMERIC_COLUMNS
+        for i, mode in enumerate(self.modes):
+            start = i * width
+            fh.write(f"{','.join(map(repr, values[start:start + width]))},{mode}\n")
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -557,7 +572,8 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
     omega = Vec3(*s.omega0_radps)
     hw = s.wheel_momentum0_nms
     transitions: list[tuple[float, str]] = [(0.0, mode.value)]
-    rows: list[tuple] = []
+    values = array("d")
+    modes: list[str] = []
     mag_sat = 0
     wheel_sat = 0
     max_hw = abs(hw)
@@ -570,7 +586,8 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         euler = quat_to_euler(q)
         metrics.add(t, q, omega, speed, euler)
         if telemetry:  # the one place that knows the TELEMETRY_COLUMNS order
-            rows.append((t, *q, *omega, *euler, *tau_m, tau_rw, hw, m.value))
+            values.extend((t, *q, *omega, *euler, *tau_m, tau_rw, hw))
+            modes.append(m.value)
 
     for k in range(n_steps):
         t = k * dt
@@ -682,7 +699,7 @@ def run_scenario(s: Scenario, *, telemetry: bool = True) -> tuple[Telemetry, Run
         regolith_position_cm=asm.regolith_position_cm,
         transitions=tuple(transitions),
     )
-    return Telemetry(rows), result
+    return Telemetry(values, modes), result
 
 
 def run_scenario_metrics(s: Scenario) -> RunResult:

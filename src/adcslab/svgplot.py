@@ -95,14 +95,21 @@ def _panel(x: list[float], series: list[list[float]], labels, y_unit: str,
 
 def render_plot(telemetry: Telemetry, title: str | None = None) -> str:
     """Two-panel SVG: body rates on top, Euler angles below, versus time."""
-    stride = max(1, (len(telemetry.rows) + MAX_POINTS - 1) // MAX_POINTS)
-    rows = telemetry.rows[::stride]
-    if telemetry.rows and rows[-1] is not telemetry.rows[-1]:
-        rows.append(telemetry.rows[-1])
-    picked = Telemetry(rows)  # read by column name, so no column index lives here
-    x = picked.column("t_s")
-    rates = [picked.column(c) for c in ("wx_radps", "wy_radps", "wz_radps")]
-    eulers = [picked.column(c) for c in ("roll_deg", "pitch_deg", "yaw_deg")]
+    n = len(telemetry)
+    stride = max(1, (n + MAX_POINTS - 1) // MAX_POINTS)
+    last_apart = n > 0 and (n - 1) % stride != 0  # the last row is not a stride point
+
+    def picked(name: str) -> list[float]:
+        """Every ``stride``-th value of the column, and its last one."""
+        column = telemetry.column(name)
+        points = column[::stride].tolist()
+        if last_apart:
+            points.append(column[-1])
+        return points
+
+    x = picked("t_s")
+    rates = [picked(c) for c in ("wx_radps", "wy_radps", "wz_radps")]
+    eulers = [picked(c) for c in ("roll_deg", "pitch_deg", "yaw_deg")]
 
     total_h = _MARGIN_T + _PANEL_H + _PANEL_GAP + _PANEL_H + _MARGIN_B
     parts = [

@@ -10,7 +10,9 @@ one function per formula) compose to what the one-pass refresh in
 vector helpers build test inputs and expected values; the control and
 Euler-angle reference forms, written with helper calls, are what the
 in-place clamps, wraps and norms of :mod:`adcslab.control` and
-:func:`adcslab.quatmath.quat_to_euler` must match bit for bit.
+:func:`adcslab.quatmath.quat_to_euler` must match bit for bit; the
+row-tuple telemetry forms are what :class:`adcslab.harness.Telemetry`'s
+float array must write and plot byte for byte.
 
 The tests import this module as ``from oracles import ...``: ``tests/`` has
 no ``__init__.py``, so pytest puts the directory on ``sys.path``.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from typing import Callable
 
 import numpy as np
@@ -41,6 +44,7 @@ from adcslab.environment import (
     constants,
     propagate_orbit,
 )
+from adcslab.harness import TELEMETRY_COLUMNS, Telemetry
 from adcslab.quatmath import (
     Quat,
     Vec3,
@@ -667,3 +671,34 @@ def mode_transition_reference(mode: Mode, omega: Vec3, thresholds: ModeThreshold
     if mode is Mode.DESPIN and speed < thresholds.despin_exit_radps:
         return Mode.NOMINAL
     return mode
+
+
+# ---------------------------------------------------------------------------
+# Row-tuple telemetry reference forms
+# ---------------------------------------------------------------------------
+# Telemetry as one 17-tuple per sample, in TELEMETRY_COLUMNS order with the
+# mode label last: the CSV formatter and the plot's row picker as they read
+# such rows.  Telemetry's float array must give the same bytes.
+
+def telemetry_from_rows(rows: list[tuple]) -> Telemetry:
+    """The :class:`Telemetry` that holds ``rows``."""
+    return Telemetry(array("d", [v for row in rows for v in row[:-1]]),
+                     [row[-1] for row in rows])
+
+
+def telemetry_csv_reference(rows: list[tuple]) -> str:
+    """The CSV text of ``rows``: each float cell its ``repr``, any other its ``str``."""
+    lines = [",".join(TELEMETRY_COLUMNS)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def plot_rows_reference(rows: list[tuple], max_points: int) -> list[tuple]:
+    """The rows a plot draws: every ``stride``-th one, the fewest strides
+    that keep at most ``max_points``, and the last row if no stride lands on it."""
+    stride = max(1, (len(rows) + max_points - 1) // max_points)
+    picked = rows[::stride]
+    if rows and picked[-1] is not rows[-1]:
+        picked.append(rows[-1])
+    return picked

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -24,7 +25,8 @@ from adcslab.harness import (
     run_scenario,
 )
 from adcslab.massmodel import bundled_catalog, sample_regolith
-from adcslab.svgplot import render_plot
+from adcslab.svgplot import MAX_POINTS, render_plot
+from oracles import plot_rows_reference, telemetry_from_rows
 
 SPIN = ["simulate", "--mode", "spin", "--quiet"]
 # Gains this large drive the rates past the substep cap within a few steps.
@@ -242,6 +244,24 @@ def test_plot_title_is_escaped():
     assert '>R&amp;D &lt;spin&gt; "a"</text>' in svg
     titles = [e.text for e in ET.fromstring(svg).iter() if e.tag.endswith("text")]
     assert 'R&D <spin> "a"' in titles
+
+
+def _plot_rows(n: int) -> list[tuple]:
+    """``n`` rows whose plotted columns each take their own values."""
+    return [(0.5 * k, 1.0, 0.0, 0.0, 0.0, math.sin(k), math.cos(k), -1e-3 * k,
+             10.0 * math.sin(0.1 * k), -20.0 * math.cos(0.1 * k), 0.01 * k,
+             0.0, 0.0, 0.0, 0.0, 0.0, "nominal") for k in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 1999, 2000, 2001, 4001])
+def test_plot_draws_the_rows_the_row_picker_picks(n):
+    rows = _plot_rows(n)
+    picked = plot_rows_reference(rows, MAX_POINTS)
+    assert len(picked) <= MAX_POINTS
+    svg = render_plot(telemetry_from_rows(rows), title="t")
+    assert svg == render_plot(telemetry_from_rows(picked), title="t")
+    lines = [e.get("points").split() for e in ET.fromstring(svg).iter() if e.tag.endswith("polyline")]
+    assert [len(points) for points in lines] == [len(picked)] * 6
 
 
 def test_disturbance_toggle_flags_parse():

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -64,6 +66,23 @@ def test_thresholds_must_be_positive_and_finite():
                 dict(despin_exit_radps=float("nan")), dict(despin_exit_radps=float("inf"))):
         with pytest.raises(ValueError, match="threshold"):
             ModeThresholds(**bad)
+
+
+@pytest.mark.parametrize("cls", [Gains, ActuatorLimits, ModeThresholds])
+def test_fields_are_stored_as_plain_floats(cls):
+    """Numpy scalars and ints are kept as the plain float of their value."""
+    for f in dataclasses.fields(cls):
+        for value in (np.float64(f.default), np.float32(f.default), np.int64(1), 1):
+            stored = getattr(cls(**{f.name: value}), f.name)
+            assert type(stored) is float and stored == float(value)
+
+
+@pytest.mark.parametrize("cls", [Gains, ActuatorLimits, ModeThresholds])
+def test_fields_reject_bools_and_non_numbers(cls):
+    for f in dataclasses.fields(cls):
+        for bad in (True, np.bool_(True), "1", None, [1.0], 1 + 0j, 10 ** 400):
+            with pytest.raises(ValueError, match=f.name):
+                cls(**{f.name: bad})
 
 
 # ------------------------------------------------------------- error state

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from adcslab import harness
-from adcslab.control import ActuatorLimits, Fidelity, Gains, ZeroFieldError
+from adcslab.control import ActuatorLimits, Fidelity, Gains, Mode, ModeThresholds, ZeroFieldError
 from adcslab.environment import OrbitConfig, orbit_period
 from adcslab.harness import (
     MAX_SUBSTEPS,
@@ -36,6 +36,7 @@ from adcslab.massmodel import (
 )
 from adcslab.quatmath import RPM_TO_RADPS, Quat, Vec3, quat_from_euler, vnorm
 from adcslab.rigidbody import NonFiniteStateError
+from oracles import telemetry_csv_reference, telemetry_from_rows
 
 PERIOD = orbit_period(OrbitConfig())
 
@@ -189,7 +190,8 @@ def test_runs_are_deterministic():
     s = default_scenario("spin")
     tel_a, res_a = run_scenario(s)
     tel_b, res_b = run_scenario(s)
-    assert tel_a.rows == tel_b.rows
+    assert tel_a.values.tobytes() == tel_b.values.tobytes()  # -0.0 and 0.0 differ
+    assert tel_a.modes == tel_b.modes
     assert res_a.to_dict() == res_b.to_dict()
 
 
@@ -204,21 +206,21 @@ def test_safe_mode_coasts_with_actuators_off():
 
 def test_telemetry_shape_and_cadence():
     tel, res = run_scenario(default_scenario("spin"))            # 60 s, every step
-    assert len(tel.rows) == 601
-    assert all(len(r) == len(TELEMETRY_COLUMNS) for r in tel.rows)
+    assert len(tel) == len(tel.modes) == 601
+    assert len(tel.values) == 601 * (len(TELEMETRY_COLUMNS) - 1)  # every column but the mode
     t = tel.column("t_s")
     assert t[0] == 0.0
     assert t[1] - t[0] == pytest.approx(0.1, rel=1e-9)
     assert t[-1] == pytest.approx(60.0, rel=1e-9)
 
     tel_slow, _ = run_scenario(default_scenario("safe"))         # 600 s, 1 Hz
-    assert len(tel_slow.rows) == 601
+    assert len(tel_slow) == 601
     assert tel_slow.column("t_s")[1] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_explicit_telemetry_cadence_override():
     tel, _ = run_scenario(default_scenario("spin", telemetry_cadence_s=0.5))
-    assert len(tel.rows) == 121
+    assert len(tel) == 121
 
 
 def test_spin_preset_converges_and_respects_the_wheel():
@@ -266,8 +268,8 @@ def test_a_kernel_divergence_after_step_0_reports_its_step_time_and_cause():
 def test_the_loop_clock_is_the_step_count_times_dt():
     """A 600 s safe run ends at exactly 600.0 s; every row sits at k * dt."""
     tel, res = run_scenario(default_scenario("safe"))
-    assert tel.column("t_s") == [k * 0.1 for k in range(0, 6001, 10)]
-    assert tel.rows[-1][0] == 600.0 == res.duration_s
+    assert tel.column("t_s").tolist() == [k * 0.1 for k in range(0, 6001, 10)]
+    assert tel.column("t_s")[-1] == 600.0 == res.duration_s
 
 
 def test_a_rate_beyond_the_substep_cap_is_a_divergence():
@@ -326,17 +328,56 @@ def test_the_schedule_takes_the_last_command_for_a_step_and_must_fall_inside_the
 
 
 def test_a_metrics_only_run_keeps_no_rows_in_memory():
-    """6,001 rows of a full run take about 3.4 MB; a metrics-only run keeps none."""
+    """6,001 rows of a full run take about 0.82 MB traced (16 floats in one
+    array and a mode label a row, about 138 B); a metrics-only run keeps none."""
     s = default_scenario("detumble", duration_orbits=None, duration_s=600.0,
                          telemetry_cadence_s=0.1)
-    tracemalloc.start()
-    try:
-        res = run_scenario_metrics(s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            out = run(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak
+
+    (tel, _), full_peak = traced_peak(run_scenario)
+    assert len(tel) == 6001
+    assert full_peak < 1_000_000
+    res, peak = traced_peak(run_scenario_metrics)
     assert res.steps == 6000
-    assert peak < 1_000_000
+    assert peak < 100_000
+
+
+# Rows in which every numeric column takes each special float in turn, and
+# the labels cycle through every mode.
+_SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308,
+                   0.1, 1.0 / 3.0, -1.0, 2.5e-21)
+_SPECIAL_ROWS = [(*(_SPECIAL_FLOATS[(i + j) % len(_SPECIAL_FLOATS)]
+                    for j in range(len(TELEMETRY_COLUMNS) - 1)),
+                  list(Mode)[i % len(Mode)].value)
+                 for i in range(2 * len(_SPECIAL_FLOATS))]
+
+
+@pytest.mark.parametrize("rows", [[], _SPECIAL_ROWS[:1], _SPECIAL_ROWS], ids=["0", "1", "all"])
+def test_csv_writes_the_text_of_the_row_tuples(rows):
+    """Signed zeros, NaN, the infinities, the subnormal and the largest
+    floats, and every mode label are written as the row-tuple formatter
+    writes them."""
+    assert {row[-1] for row in _SPECIAL_ROWS} == {m.value for m in Mode}
+    text = io.StringIO()
+    telemetry_from_rows(rows).to_csv(text)
+    assert text.getvalue() == telemetry_csv_reference(rows)
+
+
+def test_a_run_writes_the_csv_of_its_columns_as_row_tuples():
+    tel, _ = run_scenario(default_scenario("spin", fidelity=Fidelity.PHYSICAL, duration_s=20.0))
+    rows = list(zip(*(tel.column(c) for c in TELEMETRY_COLUMNS)))
+    assert len(rows) == len(tel) == 201
+    text = io.StringIO()
+    tel.to_csv(text)
+    assert text.getvalue() == telemetry_csv_reference(rows)
 
 
 def test_numpy_initial_state_gives_the_bytes_of_plain_floats():
@@ -408,6 +449,29 @@ def test_numeric_fields_reject_bools_and_non_numbers():
         for bad in (True, "0.1", None):
             with pytest.raises(ValueError, match=rf"{name}\[1\]"):
                 Scenario(**{name: (1.0, bad, *[0.0] * (size - 2))})
+
+
+def test_numeric_gains_limits_and_thresholds_give_the_bytes_of_plain_floats():
+    """A numpy gain ran the loop on numpy scalars and wrote ``np.float64(...)``
+    cells and summary values; an int torque limit wrote a clamped cell as
+    ``-1``.  Each is stored as a plain float, so both runs write the bytes of
+    the same plain floats."""
+    numpy_csv, numpy_summary = _outputs(default_scenario(
+        "nominal", duration_orbits=None, duration_s=2.0,
+        gains=Gains(kp=np.float64(9e-5), kd=np.float64(9e-3), k1=np.float32(0.5), k2=np.int64(1)),
+        thresholds=ModeThresholds(np.float64(0.01), np.float64(1e-3))))
+    assert "np." not in numpy_csv and "np." not in numpy_summary
+    assert (numpy_csv, numpy_summary) == _outputs(default_scenario(
+        "nominal", duration_orbits=None, duration_s=2.0,
+        gains=Gains(kp=9e-5, kd=9e-3, k1=float(np.float32(0.5)), k2=1.0),
+        thresholds=ModeThresholds(0.01, 1e-3)))
+
+    tumble = dict(duration_s=2.0, omega0_radps=Vec3(200.0, -200.0, 200.0))
+    int_csv, int_summary = _outputs(Scenario(limits=ActuatorLimits(max_magnetic_torque_nm=1),
+                                             **tumble))
+    assert "-1.0," in int_csv and ",-1," not in int_csv
+    assert (int_csv, int_summary) == _outputs(
+        Scenario(limits=ActuatorLimits(max_magnetic_torque_nm=1.0), **tumble))
 
 
 def test_run_result_is_json_serializable():
@@ -737,4 +801,5 @@ def test_physical_runs_do_not_read_the_magnetic_torque_limit(mode):
                                          limits=default_limits()))
     assert default_limits() != ActuatorLimits()
     assert rods[1] == hardware[1]
-    assert rods[0].rows == hardware[0].rows
+    assert rods[0].values.tobytes() == hardware[0].values.tobytes()
+    assert rods[0].modes == hardware[0].modes

@@ -343,12 +343,23 @@ momenta = (st.floats(-2e-2, 2e-2)
 @given(wheel_torques, momenta, st.floats(1e-3, 10.0) | st.floats(min_value=5e-324))
 @example(-_WHEEL, -_STOP + 5e-5, 0.1)
 @example(math.nan, 0.0, 0.1)
+@example(-math.nan, math.nan, 2.220446049250313e-16)
 def test_wheel_step_is_its_reference_bit_for_bit(tau, h, dt):
     """The in-place torque clamp against ``oracles.clamp``, then the
-    momentum stop, NaN, the infinities and signed zeros included."""
+    momentum stop, NaN, the infinities and signed zeros included.
+
+    IEEE 754 leaves open which operand's NaN a sum of two NaNs returns, and
+    CPython's generic float addition and the one it specializes a warmed-up
+    ``+`` into pick different ones: where both addends of ``h + tau * dt``
+    are NaN, the new momentum is held to be a NaN on both sides, not to a sign.
+    """
     got = wheel_step(tau, h, LIMITS, dt)
     want = wheel_step_reference(tau, h, LIMITS, dt)
-    assert float_bits(got[:2]) == float_bits(want[:2])
+    assert float_bits(got[:1]) == float_bits(want[:1])
+    if math.isnan(h) and math.isnan(want[0] * dt):
+        assert math.isnan(got[1]) and math.isnan(want[1])
+    else:
+        assert float_bits(got[1:2]) == float_bits(want[1:2])
     assert got[2] is want[2]
 
 

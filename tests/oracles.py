@@ -10,8 +10,8 @@ one function per formula) compose to what the one-pass refresh in
 vector helpers build test inputs and expected values; the control and
 Euler-angle reference forms, written with helper calls, are what the
 in-place clamps, wraps and norms of :mod:`adcslab.control` and
-:func:`adcslab.quatmath.quat_to_euler` must match bit for bit; the
-row-tuple telemetry forms are what :class:`adcslab.harness.Telemetry`'s
+:func:`adcslab.quatmath.quat_to_euler` must match bit for bit, each side
+run warm by :func:`warm_call`; the row-tuple telemetry forms are what :class:`adcslab.harness.Telemetry`'s
 float array must write and plot byte for byte.
 
 The tests import this module as ``from oracles import ...``: ``tests/`` has
@@ -580,6 +580,26 @@ def total_disturbance_reference(
 def float_bits(xs) -> list[bytes]:
     """Each float's IEEE 754 bytes: equal lists are equal bit for bit, NaN too."""
     return [struct.pack("<d", x) for x in xs]
+
+
+# More than CPython 3.11's 8-call quickening delay plus its longest
+# re-specialization back-off, 4,095 runs of an instruction.
+WARM_CALLS = 4200
+
+
+def warm_call(fn: Callable, *args):
+    """``fn(*args)``, after ``WARM_CALLS`` runs on the same arguments.
+
+    IEEE 754 leaves open which operand's NaN a sum or product of two NaNs
+    returns, and CPython's generic float ``+`` and ``*`` and the ones it
+    specializes a warmed-up function into pick different ones (``-nan + nan``
+    is ``-nan`` cold and ``nan`` warm).  So a function and its reference are
+    compared bit for bit only when both ran warm, each float operation on
+    the compared path specialized for these very arguments.
+    """
+    for _ in range(WARM_CALLS):
+        fn(*args)
+    return fn(*args)
 
 
 def clamp(v: float, limit: float) -> float:

@@ -371,15 +371,6 @@ def test_csv_writes_the_text_of_the_row_tuples(rows):
     assert text.getvalue() == telemetry_csv_reference(rows)
 
 
-def test_a_run_writes_the_csv_of_its_columns_as_row_tuples():
-    tel, _ = run_scenario(default_scenario("spin", fidelity=Fidelity.PHYSICAL, duration_s=20.0))
-    rows = list(zip(*(tel.column(c) for c in TELEMETRY_COLUMNS)))
-    assert len(rows) == len(tel) == 201
-    text = io.StringIO()
-    tel.to_csv(text)
-    assert text.getvalue() == telemetry_csv_reference(rows)
-
-
 def test_numpy_initial_state_gives_the_bytes_of_plain_floats():
     """Numpy scalars in the initial state or the regolith position reach
     neither the telemetry nor the summary: the run writes the bytes of the

@@ -30,6 +30,7 @@ from oracles import (
     vcross,
     vsub,
     vunit,
+    warm_call,
 )
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -208,10 +209,13 @@ components = (st.floats(-1.0, 1.0) | st.floats()
 @example(ROLL_FOLD)
 @example(YAW_FOLD)
 @example(Quat(math.sqrt(0.5), -0.0, math.sqrt(0.5), -0.0))   # the pitch singularity
+@example(Quat(math.nan, -math.nan, -math.nan, math.nan))      # nan * -nan
 def test_euler_is_the_wrapped_form_bit_for_bit(q):
     """The in-place fold against ``oracles.wrap_deg``, over any quaternion,
-    unnormalized, signed zeros, NaN and the infinities included."""
-    assert float_bits(quat_to_euler(q)) == float_bits(quat_to_euler_reference(q))
+    unnormalized, signed zeros, NaN of either sign and the infinities
+    included."""
+    assert (float_bits(warm_call(quat_to_euler, q))
+            == float_bits(warm_call(quat_to_euler_reference, q)))
 
 
 # ------------------------------------------------------------------- vectors
